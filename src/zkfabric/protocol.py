@@ -711,8 +711,13 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
                for r in by_kind.get("mask_commit", [])}
     for rec in by_kind.get("mask_reveal", []):
         part = int(rec.body["part"])
-        opened = commit_bit(int(rec.body["r"]),
-                            bytes.fromhex(rec.body["salt"]), lam)
+        try:
+            salt = bytes.fromhex(rec.body["salt"])
+        except (TypeError, ValueError):
+            _check(report, f"commit_opens_part_{part}", False,
+                   f"mask_reveal.salt {rec.body['salt']!r} is not hex")
+            continue
+        opened = commit_bit(int(rec.body["r"]), salt, lam)
         _check(report, f"commit_opens_part_{part}",
                commits.get(part) == opened)
 

@@ -5,7 +5,8 @@ keys sorted and no insignificant whitespace, holding sequence number,
 session, author, kind, a kind-specific body (binary values as lowercase
 hex), and a digest over the canonical encoding of the other five fields.
 Decoding re-encodes and compares bytes, so any non-canonical or edited
-line is rejected outright.
+line is rejected outright.  Each digest covers only its own record; the
+records are not chained to one another.
 """
 
 from __future__ import annotations
@@ -89,12 +90,20 @@ def decode_record(data: bytes) -> RepositoryRecord:
 
 
 class Repository:
-    """In-memory board with an optional backing file (one record per line)."""
+    """In-memory board with an optional backing file (one record per line).
+
+    Records are indexed by session as they are ingested, whether appended or
+    loaded from the file, so a fetch reads only its session's records and
+    costs the same whatever the size of the board; only a fetch without a
+    session scans the whole board.  A session opens with exactly one
+    `session_init`: a second one, or any other record for a session the
+    board does not hold, is refused with `MalformedRecord`.
+    """
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
         self._records: list[RepositoryRecord] = []
-        self._sessions: set[str] = set()
+        self._by_session: dict[str, list[RepositoryRecord]] = {}
         if self.path is not None and os.path.exists(self.path):
             self._load()
 
@@ -116,10 +125,13 @@ class Repository:
                                   record.kind, record.body)
         if record.digest != expected:
             raise DigestMismatch(f"record {record.seq} digest does not verify")
-        if record.kind != "session_init" and record.session not in self._sessions:
-            raise MalformedRecord(f"unknown session {record.session!r}")
+        known = record.session in self._by_session
+        if (record.kind == "session_init") == known:
+            raise MalformedRecord(
+                f"session {record.session!r} already initialised" if known
+                else f"unknown session {record.session!r}")
         self._records.append(record)
-        self._sessions.add(record.session)
+        self._by_session.setdefault(record.session, []).append(record)
 
     @property
     def next_seq(self) -> int:
@@ -140,9 +152,12 @@ class Repository:
 
     def fetch(self, session: str | None = None, kind: str | None = None,
               since: int = 0) -> list[RepositoryRecord]:
-        return [r for r in self._records[since:]
-                if (session is None or r.session == session)
-                and (kind is None or r.kind == kind)]
+        """Records in seq order, matching `session` and `kind` where given,
+        with seq >= `since`."""
+        records = (self._records[since:] if session is None
+                   else self._by_session.get(session, []))
+        return [r for r in records
+                if r.seq >= since and (kind is None or r.kind == kind)]
 
     def verify_board(self) -> bool:
         """Full re-scan: contiguous sequence numbers and valid digests."""

@@ -56,3 +56,13 @@ def random_statement(rng, min_clauses=2, max_clauses=6):
 def all_assignments(n):
     for idx in range(1 << n):
         yield tuple(idx >> (n - 1 - j) & 1 for j in range(n))
+
+
+def scan_fetch(records, session=None, kind=None, since=0):
+    """Linear-scan oracle for Repository.fetch: every record of the board in
+    seq order, kept when it matches `session` and `kind` (None matches all)
+    and its seq is at least `since`."""
+    return [r for r in records
+            if (session is None or r.session == session)
+            and (kind is None or r.kind == kind)
+            and r.seq >= since]

@@ -234,3 +234,23 @@ def test_two_sessions_on_one_board(capsys, tmp_path):
     assert code == 0
     assert "session first:" in out
     assert "session second:" in out
+
+
+def test_second_session_init_for_same_session_refused(capsys, tmp_path):
+    """A rerun under the same session id (same seed) must not reuse the
+    first run's verdict: it is refused before anything is written."""
+    board = tmp_path / "board.jsonl"
+    args = ["simulate", "--statement", "a [and] b [or] c", "--witness", "111",
+            "--group", "toy23", "--seed", "7", "--board", str(board)]
+    code, out, _ = run_cli(capsys, *args, "--claim", "1")
+    assert code == 0
+    assert "verdict: accept" in out
+    raw = board.read_bytes()
+    code, out, err = run_cli(capsys, *args, "--claim", "0")
+    assert code == 2
+    assert "verdict:" not in out
+    assert "error: MalformedRecord" in err
+    assert board.read_bytes() == raw
+    code, out, _ = run_cli(capsys, "verify-transcript", str(board))
+    assert code == 0
+    assert "verdict=accept checks=ok" in out

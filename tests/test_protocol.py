@@ -358,6 +358,38 @@ def test_replay_catches_stale_digest():
     assert "record_digests" in failing
 
 
+@pytest.mark.parametrize("salt", ["zz", 12])
+def test_replay_reports_non_hex_salt(salt):
+    records = list(Repository(GOLDEN_BOARD))
+    i, target = next((i, r) for i, r in enumerate(records)
+                     if r.kind == "mask_reveal")
+    body = dict(target.body, salt=salt)
+    records[i] = make_record(target.seq, target.session, target.author,
+                             target.kind, body)
+    report = replay_board(records)[0]
+    assert not report.ok
+    part = target.body["part"]
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert failed == [(f"commit_opens_part_{part}",
+                       f"mask_reveal.salt {salt!r} is not hex")]
+
+
+def test_session_on_a_busy_board_posts_what_it_posts_alone():
+    """Other sessions on the board change only the seq numbers of a
+    session's records, never what it posts or its verdict."""
+    busy = Repository()
+    for seed, witness, claim in ((31, "111", 1), (32, "011", 1), (33, "101", 0)):
+        params = SessionParams.from_master(seed, claim, group="toy23")
+        run_session(params, CAR_STATEMENT, witness, busy)
+    params = SessionParams.from_master(34, 1, group="toy23")
+    on_busy = run_session(params, CAR_STATEMENT, "111", busy)
+    alone = run_session(params, CAR_STATEMENT, "111", Repository())
+    assert on_busy.records[0].seq == 63
+    assert on_busy.verdict == alone.verdict == "accept"
+    assert [(r.author, r.kind, r.body) for r in on_busy.records] == [
+        (r.author, r.kind, r.body) for r in alone.records]
+
+
 def test_completeness_and_soundness_random_statements():
     rng = random.Random(1202)
     for trial in range(30):

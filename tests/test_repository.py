@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import scan_fetch
 from zkfabric.errors import DigestMismatch, MalformedRecord, StaleSequence
 from zkfabric.repository import (
     RECORD_KINDS,
@@ -126,6 +130,72 @@ def test_append_rejects_unknown_session():
     rec = make_record(0, "s1", "prover", "mask_commit", {})
     with pytest.raises(MalformedRecord):
         repo.append(rec)
+
+
+def test_append_rejects_second_session_init(tmp_path):
+    path = tmp_path / "board.jsonl"
+    repo = Repository(path)
+    fill(repo, 2)
+    raw = path.read_bytes()
+    with pytest.raises(MalformedRecord, match="already initialised"):
+        repo.publish("s1", "prover", "session_init", {"again": True})
+    assert len(repo) == 2
+    assert path.read_bytes() == raw
+    repo.publish("s2", "prover", "session_init", {})
+    assert [r.session for r in repo.fetch(kind="session_init")] == ["s1", "s2"]
+
+
+def test_load_rejects_second_session_init(tmp_path):
+    """The same check holds for records read from a board file."""
+    path = tmp_path / "board.jsonl"
+    first = make_record(0, "s1", "prover", "session_init", {})
+    again = make_record(1, "s1", "prover", "session_init", {"again": True})
+    path.write_bytes(encode_record(first) + b"\n" + encode_record(again) + b"\n")
+    with pytest.raises(MalformedRecord, match="already initialised"):
+        Repository(path)
+
+
+BODY_KINDS = ("mask_commit", "ot_choose", "partition_output", "final_verdict")
+
+
+@st.composite
+def boards(draw):
+    """A board of up to three sessions whose records interleave; each
+    session opens with its session_init the first time it appears."""
+    steps = draw(st.lists(st.tuples(st.sampled_from(("s1", "s2", "s3")),
+                                    st.sampled_from(BODY_KINDS)),
+                          max_size=20))
+    repo = Repository()
+    opened = set()
+    for i, (session, kind) in enumerate(steps):
+        if session not in opened:
+            opened.add(session)
+            repo.publish(session, "prover", "session_init", {"i": i})
+        repo.publish(session, f"verifier-{i % 3}", kind, {"i": i})
+    return repo
+
+
+def assert_fetch_matches_scan(repo):
+    records = list(repo)
+    for session in ("s1", "s2", "s3", "absent", None):
+        for kind in (*BODY_KINDS, "session_init", "aggregate_publish", None):
+            for since in range(len(records) + 2):
+                assert repo.fetch(session, kind, since) == scan_fetch(
+                    records, session, kind, since)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boards())
+def test_fetch_matches_linear_scan(repo):
+    assert_fetch_matches_scan(repo)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "board.jsonl"
+        on_file = Repository(path)
+        for rec in repo:
+            on_file.append(rec)
+        reloaded = Repository(path)
+        assert list(reloaded) == list(repo)
+        assert_fetch_matches_scan(reloaded)
 
 
 def test_record_kinds_closed_set():
