@@ -37,6 +37,7 @@ from .errors import (
     ArityMismatch,
     CommitMismatch,
     DecryptFailure,
+    InvalidGroupElement,
     PartitionOutputInvalid,
     UnknownLabel,
     VerdictMismatch,
@@ -704,60 +705,68 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
     init = by_kind.get("session_init", [None])[0]
     if init is None:
         return report
-    lam = int(init.body["lambda_h"])
-    group = group_by_name(init.body["group"])
+    # Every loop below names the record it reads `rec`, so a malformed
+    # field is reported against the record that carries it.
+    try:
+        rec = init
+        lam = int(init.body["lambda_h"])
+        group = group_by_name(init.body["group"])
 
-    commits = {int(r.body["part"]): str(r.body["commitment"])
-               for r in by_kind.get("mask_commit", [])}
-    for rec in by_kind.get("mask_reveal", []):
-        part = int(rec.body["part"])
-        try:
-            salt = bytes.fromhex(rec.body["salt"])
-        except (TypeError, ValueError):
-            _check(report, f"commit_opens_part_{part}", False,
-                   f"mask_reveal.salt {rec.body['salt']!r} is not hex")
-            continue
-        opened = commit_bit(int(rec.body["r"]), salt, lam)
-        _check(report, f"commit_opens_part_{part}",
-               commits.get(part) == opened)
-
-    ot_c: dict[str, int] = {}
-    for rec in by_kind.get("garbled_partition", []):
-        ot_c[f"mask-{int(rec.body['part'])}"] = int(rec.body["ot_c"], 16)
-    for rec in by_kind.get("aggregate_publish", []):
-        ot_c["xm"] = int(rec.body["ot_c"], 16)
-    for rec in by_kind.get("ot_choose", []):
-        ot_id = rec.body["session_id"]
-        y0 = int(rec.body["y0"], 16)
-        y1 = int(rec.body["y1"], 16)
-        ok = (ot_id in ot_c
-              and in_subgroup(group, y0) and in_subgroup(group, y1)
-              and y0 * y1 % group.p == ot_c[ot_id])
-        _check(report, f"ot_consistency_{ot_id}", ok)
-
-    publishes = by_kind.get("aggregate_publish", [])
-    if publishes:
-        pub = publishes[0].body
-        for rec in by_kind.get("partition_output", []):
+        commits = {}
+        for rec in by_kind.get("mask_commit", []):
+            commits[int(rec.body["part"])] = str(rec.body["commitment"])
+        for rec in by_kind.get("mask_reveal", []):
             part = int(rec.body["part"])
-            table = TranslationTable.from_lists(
-                pub["translations"][str(part)], lam)
-            label = bytes.fromhex(rec.body["label"])
             try:
-                table.apply(label)
-                ok = True
-            except UnknownLabel:
-                ok = False
-            _check(report, f"partition_label_valid_{part}", ok)
-        for rec in by_kind.get("aggregate_output", []):
-            decode = DecodeInfo.from_lists(pub["decode"], lam)
-            try:
-                y = decode_output(decode, bytes.fromhex(rec.body["label"]))
-                ok = y == int(rec.body["y"])
-            except UnknownLabel:
-                ok = False
-            _check(report, "aggregate_decode", ok)
-            if report.verdict in ("accept", "reject"):
-                _check(report, "verdict_matches_aggregator",
-                       (report.verdict == "accept") == bool(int(rec.body["accept"])))
+                salt = bytes.fromhex(rec.body["salt"])
+            except (TypeError, ValueError):
+                _check(report, f"commit_opens_part_{part}", False,
+                       f"mask_reveal.salt {rec.body['salt']!r} is not hex")
+                continue
+            opened = commit_bit(int(rec.body["r"]), salt, lam)
+            _check(report, f"commit_opens_part_{part}",
+                   commits.get(part) == opened)
+
+        ot_c: dict[str, int] = {}
+        for rec in by_kind.get("garbled_partition", []):
+            ot_c[f"mask-{int(rec.body['part'])}"] = int(rec.body["ot_c"], 16)
+        for rec in by_kind.get("aggregate_publish", []):
+            ot_c["xm"] = int(rec.body["ot_c"], 16)
+        for rec in by_kind.get("ot_choose", []):
+            ot_id = rec.body["session_id"]
+            y0 = int(rec.body["y0"], 16)
+            y1 = int(rec.body["y1"], 16)
+            ok = (ot_id in ot_c
+                  and in_subgroup(group, y0) and in_subgroup(group, y1)
+                  and y0 * y1 % group.p == ot_c[ot_id])
+            _check(report, f"ot_consistency_{ot_id}", ok)
+
+        publishes = by_kind.get("aggregate_publish", [])
+        if publishes:
+            pub = publishes[0].body
+            for rec in by_kind.get("partition_output", []):
+                part = int(rec.body["part"])
+                table = TranslationTable.from_lists(
+                    pub["translations"][str(part)], lam)
+                label = bytes.fromhex(rec.body["label"])
+                try:
+                    table.apply(label)
+                    ok = True
+                except UnknownLabel:
+                    ok = False
+                _check(report, f"partition_label_valid_{part}", ok)
+            for rec in by_kind.get("aggregate_output", []):
+                decode = DecodeInfo.from_lists(pub["decode"], lam)
+                try:
+                    y = decode_output(decode, bytes.fromhex(rec.body["label"]))
+                    ok = y == int(rec.body["y"])
+                except UnknownLabel:
+                    ok = False
+                _check(report, "aggregate_decode", ok)
+                if report.verdict in ("accept", "reject"):
+                    _check(report, "verdict_matches_aggregator",
+                           (report.verdict == "accept") == bool(int(rec.body["accept"])))
+    except (KeyError, TypeError, ValueError, InvalidGroupElement) as exc:
+        _check(report, "well_formed", False,
+               f"{rec.kind} record {rec.seq}: {type(exc).__name__}: {exc}")
     return report

@@ -1,6 +1,11 @@
 """Shared generators and fixtures for the test suite."""
 
+from pathlib import Path
+
 from zkfabric.circuit import CircuitBuilder
+from zkfabric.repository import Repository, make_record
+
+GOLDEN_BOARD = Path(__file__).parent / "golden" / "car_toy23.board"
 
 CAR_STATEMENT = ('The car only starts [if] the "start" button is pressed '
                  '[and] the brake pedal is pressed')
@@ -66,3 +71,14 @@ def scan_fetch(records, session=None, kind=None, since=0):
             if (session is None or r.session == session)
             and (kind is None or r.kind == kind)
             and r.seq >= since]
+
+
+def edited_golden(kind, field, value):
+    """The golden board's records with one field of the first `kind`
+    record set to `value` and that record's digest recomputed, so only
+    replay's reading of the field can notice the edit."""
+    records = list(Repository(GOLDEN_BOARD))
+    i, target = next((i, r) for i, r in enumerate(records) if r.kind == kind)
+    records[i] = make_record(target.seq, target.session, target.author,
+                             target.kind, {**target.body, field: value})
+    return records, target

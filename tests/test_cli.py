@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
-from helpers import CAR_STATEMENT
+from helpers import CAR_STATEMENT, edited_golden
 from zkfabric.cli import main
-from zkfabric.repository import decode_record
+from zkfabric.repository import decode_record, encode_record
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +156,20 @@ def test_simulate_writes_board(capsys, tmp_path):
     assert board.read_bytes().count(b"\n") == 21
 
 
+def test_modp2048_board_bytes(capsys, tmp_path):
+    """The golden board is on toy23, which never reaches the fixed-base
+    table for g; this pins a modp2048 board, which does."""
+    board = tmp_path / "board.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--statement", "a [and] b [or] c",
+                         "--witness", "101", "--claim", "1", "--group",
+                         "modp2048", "--seed", "7", "--board", str(board))
+    assert code == 0
+    raw = board.read_bytes()
+    assert len(raw) == 10645
+    assert hashlib.sha256(raw).hexdigest() == (
+        "6ebc56f77368f0036462795550323fc97477c372523d1e83f0ad8335a6e86373")
+
+
 def test_board_via_environment(capsys, tmp_path, monkeypatch):
     board = tmp_path / "board.jsonl"
     monkeypatch.setenv("ZKFABRIC_BOARD", str(board))
@@ -254,3 +269,13 @@ def test_second_session_init_for_same_session_refused(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify-transcript", str(board))
     assert code == 0
     assert "verdict=accept checks=ok" in out
+
+
+def test_verify_transcript_reports_malformed_field(capsys, tmp_path):
+    board = tmp_path / "board.jsonl"
+    records, _ = edited_golden("ot_choose", "y0", "zz")
+    board.write_bytes(b"".join(encode_record(r) + b"\n" for r in records))
+    code, out, err = run_cli(capsys, "verify-transcript", str(board))
+    assert code == 1
+    assert "  FAIL well_formed ot_choose record " in out
+    assert "Traceback" not in out + err

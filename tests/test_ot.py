@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zkfabric.errors import ConsistencyCheckFailed, InvalidGroupElement
 from zkfabric.hashing import HashDrbg
@@ -6,8 +7,10 @@ from zkfabric.ot import (
     GROUPS,
     MODP2048,
     TOY_GROUP,
+    SECRET_BITS,
     GroupParams,
     OTTransfer,
+    _g_pow,
     _receiver_from_secret,
     _sender_from_secret,
     element_to_bytes,
@@ -255,3 +258,28 @@ def test_receiver_keys_leak_nothing_about_choice():
             if expected:
                 chi2 += (counts[b][elem] - expected) ** 2 / expected
     assert chi2 < CHI_SQUARE_DF10_P01
+
+
+@pytest.mark.parametrize("e", [
+    0, 1, 15, 16, 17, 1 << 128, 1 << 252, 0xF << 252, (1 << 128) + 1,
+    (1 << SECRET_BITS) - 1,
+    # outside the table's range: these take the builtin pow
+    1 << SECRET_BITS, pytest.param(MODP2048.q, id="q"), -1, -(1 << 200),
+])
+def test_g_pow_boundaries(e):
+    assert _g_pow(MODP2048, e) == pow(MODP2048.g, e, MODP2048.p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, (1 << SECRET_BITS) - 1))
+def test_g_pow_matches_pow(e):
+    assert _g_pow(MODP2048, e) == pow(MODP2048.g, e, MODP2048.p)
+
+
+def test_g_table_built_once_and_never_on_toy23():
+    assert MODP2048._g_table is MODP2048._g_table
+    assert [len(row) for row in MODP2048._g_table] == [16] * 64
+    toy = GroupParams("toy23", p=23, q=11, g=4)
+    assert [_g_pow(toy, e) for e in range(-3, 30)] == [
+        pow(4, e, 23) for e in range(-3, 30)]
+    assert "_g_table" not in vars(toy)

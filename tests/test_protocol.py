@@ -1,9 +1,15 @@
 import random
-from pathlib import Path
 
 import pytest
 
-from helpers import CAR_STATEMENT, CAR_TABLE, all_assignments, random_statement
+from helpers import (
+    CAR_STATEMENT,
+    CAR_TABLE,
+    GOLDEN_BOARD,
+    all_assignments,
+    edited_golden,
+    random_statement,
+)
 from zkfabric.circuit import compile_expression, evaluate_plain
 from zkfabric.errors import ArityMismatch, DepthZero
 from zkfabric.hashing import HashDrbg, commit_bit
@@ -19,8 +25,6 @@ from zkfabric.protocol import (
 )
 from zkfabric.repository import Repository, encode_record, make_record
 from zkfabric.syntax import syn_gen
-
-GOLDEN_BOARD = Path(__file__).parent / "golden" / "car_toy23.board"
 
 CAR_KIND_SEQUENCE = [
     "session_init",
@@ -372,6 +376,26 @@ def test_replay_reports_non_hex_salt(salt):
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert failed == [(f"commit_opens_part_{part}",
                        f"mask_reveal.salt {salt!r} is not hex")]
+
+
+@pytest.mark.parametrize("kind, field, value, exc", [
+    ("mask_reveal", "r", "x", "ValueError"),
+    ("mask_reveal", "part", "one", "ValueError"),
+    ("ot_choose", "y0", "zz", "ValueError"),
+    ("ot_choose", "y1", 5, "TypeError"),
+    ("partition_output", "label", "zz", "ValueError"),
+    ("aggregate_output", "y", "q", "ValueError"),
+    ("session_init", "lambda_h", "z", "ValueError"),
+    ("garbled_partition", "ot_c", "zz", "ValueError"),
+    ("session_init", "group", "nope", "InvalidGroupElement"),
+])
+def test_replay_reports_malformed_field(kind, field, value, exc):
+    records, target = edited_golden(kind, field, value)
+    report = replay_board(records)[0]
+    assert not report.ok
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert [name for name, _ in failed] == ["well_formed"]
+    assert failed[0][1].startswith(f"{kind} record {target.seq}: {exc}: ")
 
 
 def test_session_on_a_busy_board_posts_what_it_posts_alone():
