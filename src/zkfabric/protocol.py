@@ -712,6 +712,19 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
         lam = int(init.body["lambda_h"])
         group = group_by_name(init.body["group"])
 
+        if report.verdict in ("accept", "reject"):
+            n_parts = int(init.body["n_parts"])
+            found = []
+            for kind in ("garbled_partition", "mask_commit", "mask_reveal"):
+                parts = []
+                for rec in by_kind.get(kind, []):
+                    parts.append(int(rec.body["part"]))
+                parts.sort()
+                if parts != list(range(1, n_parts + 1)):
+                    found.append(f"{kind} parts {parts}")
+            _check(report, "parts_match_init", not found,
+                   f"n_parts {n_parts}: " + "; ".join(found) if found else "")
+
         commits = {}
         for rec in by_kind.get("mask_commit", []):
             commits[int(rec.body["part"])] = str(rec.body["commitment"])

@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 from .errors import (
     EmptyClause,
@@ -313,54 +312,49 @@ def minimize(table: TruthTable) -> MinimizedExpr:
     if len(on) == len(table.outputs):
         return MinimizedExpr(n, ((None,) * n,))
     primes = _prime_implicants(n, on)
-    cover = _minimum_cover(primes, on, n)
+    cover = _minimum_cover(primes, on)
     return MinimizedExpr(n, tuple(sorted(cover, key=_implicant_str)))
 
 
-def _cube_of(minterm: int, n: int) -> tuple[int | None, ...]:
-    return _assignment(minterm, n)
-
-
-def _merge(a: tuple, b: tuple) -> tuple | None:
-    diff = None
-    for j, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            if x is None or y is None or diff is not None:
-                return None
-            diff = j
-    if diff is None:
-        return None
-    return a[:diff] + (None,) + a[diff + 1:]
-
-
 def _prime_implicants(n: int, on: list[int]) -> list[tuple]:
-    current = {_cube_of(m, n) for m in on}
-    primes: set[tuple] = set()
+    """All prime implicants of the on-set, sorted by implicant string.
+
+    A cube is held as a pair of ints `(value, free)` over n bits, variable
+    0 being the most significant bit as in `_assignment`: a bit set in
+    `free` is a free variable, and `value` holds the fixed variables' bits,
+    0 wherever `free` has a 1.  Two cubes merge only when they have the
+    same free bits and differ in one fixed bit (McCluskey's rule), so the
+    partner of `(value, free)` across a fixed 0 bit is `(value | bit,
+    free)`, found with one set lookup, and the merged cube is
+    `(value, free | bit)`.  A cube that merges with no partner is prime.
+    """
+    full = (1 << n) - 1
+    current = {(m, 0) for m in on}
+    primes: set[tuple[int, int]] = set()
     while current:
-        merged_from: set[tuple] = set()
-        nxt: set[tuple] = set()
-        grouped: dict[int, list[tuple]] = {}
-        for cube in current:
-            grouped.setdefault(sum(v == 1 for v in cube), []).append(cube)
-        for ones, group in grouped.items():
-            for cube in group:
-                for other in grouped.get(ones + 1, []):
-                    m = _merge(cube, other)
-                    if m is not None:
-                        nxt.add(m)
-                        merged_from.add(cube)
-                        merged_from.add(other)
+        merged_from: set[tuple[int, int]] = set()
+        nxt: set[tuple[int, int]] = set()
+        for value, free in current:
+            zeros = full & ~free & ~value
+            while zeros:
+                bit = zeros & -zeros
+                zeros ^= bit
+                partner = (value | bit, free)
+                if partner in current:
+                    nxt.add((value, free | bit))
+                    merged_from.add((value, free))
+                    merged_from.add(partner)
         primes |= current - merged_from
         current = nxt
-    return sorted(primes, key=_implicant_str)
+    cubes = [
+        tuple(None if free >> k & 1 else value >> k & 1
+              for k in range(n - 1, -1, -1))
+        for value, free in primes
+    ]
+    return sorted(cubes, key=_implicant_str)
 
 
-def _covers(cube: tuple, minterm: int, n: int) -> bool:
-    bits = _assignment(minterm, n)
-    return all(v is None or v == b for v, b in zip(cube, bits))
-
-
-def _minimum_cover(primes: list[tuple], on: list[int], n: int) -> list[tuple]:
+def _minimum_cover(primes: list[tuple], on: list[int]) -> list[tuple]:
     """Exact minimum set cover of the on-set by prime implicants.
 
     Essential primes (the sole coverer of some minterm) are peeled off
@@ -373,9 +367,14 @@ def _minimum_cover(primes: list[tuple], on: list[int], n: int) -> list[tuple]:
     full = (1 << n_on) - 1
     masks = []
     for p in primes:
+        value = free = 0
+        for v in p:
+            value = value << 1 | (v == 1)
+            free = free << 1 | (v is None)
+        fixed = ~free
         m = 0
         for j, minterm in enumerate(on):
-            if _covers(p, minterm, n):
+            if minterm & fixed == value:
                 m |= 1 << j
         masks.append(m)
 
@@ -424,39 +423,6 @@ def _minimum_cover(primes: list[tuple], on: list[int], n: int) -> list[tuple]:
             chosen = essential | {cand[i] for i in sol}
             return [primes[i] for i in sorted(chosen)]
     raise AssertionError("unreachable: minterm cubes alone form a cover")
-
-
-def exhaustive_minimum_size(table: TruthTable) -> int:
-    """Brute-force reference: smallest number of cubes covering the on-set.
-
-    Only feasible for tiny n; used to audit minimize() on 2-variable
-    functions where all 9 cubes and all subsets can be enumerated.
-    """
-    n = table.n_vars
-    on = [i for i, b in enumerate(table.outputs) if b]
-    if not on:
-        return 0
-    values: list[int | None] = [0, 1, None]
-    cubes = []
-    for combo in _all_cubes(n, values):
-        covered = {m for m in range(1 << n) if _covers(combo, m, n)}
-        if covered <= set(on):
-            cubes.append((combo, covered))
-    for size in range(1, len(cubes) + 1):
-        for subset in combinations(cubes, size):
-            hit = set()
-            for _, cov in subset:
-                hit |= cov
-            if hit == set(on):
-                return size
-    raise AssertionError("unreachable: minterm cubes always cover")
-
-
-def _all_cubes(n: int, values: list) -> list[tuple]:
-    cubes = [()]
-    for _ in range(n):
-        cubes = [c + (v,) for c in cubes for v in values]
-    return cubes
 
 
 def syn_gen(raw_text: str, lambda_h: int = 256) -> tuple[MinimizedExpr, Statement]:

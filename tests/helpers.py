@@ -1,9 +1,11 @@
 """Shared generators and fixtures for the test suite."""
 
+from itertools import combinations
 from pathlib import Path
 
 from zkfabric.circuit import CircuitBuilder
 from zkfabric.repository import Repository, make_record
+from zkfabric.syntax import MinimizedExpr, TruthTable, _assignment, _implicant_str
 
 GOLDEN_BOARD = Path(__file__).parent / "golden" / "car_toy23.board"
 
@@ -82,3 +84,154 @@ def edited_golden(kind, field, value):
     records[i] = make_record(target.seq, target.session, target.author,
                              target.kind, {**target.body, field: value})
     return records, target
+
+
+# A tuple-walking Quine-McCluskey that shares no merge or cover logic with
+# zkfabric.syntax's bitmask cubes: the reference that minimize must match
+# byte for byte (same primes, same cover, same order), since the committed
+# SOP of every board is its output.
+
+def reference_minimize(table: TruthTable) -> MinimizedExpr:
+    n = table.n_vars
+    on = [i for i, b in enumerate(table.outputs) if b]
+    if not on:
+        return MinimizedExpr(n, ())
+    if len(on) == len(table.outputs):
+        return MinimizedExpr(n, ((None,) * n,))
+    primes = reference_prime_implicants(n, on)
+    cover = _reference_minimum_cover(primes, on, n)
+    return MinimizedExpr(n, tuple(sorted(cover, key=_implicant_str)))
+
+
+def _cube_of(minterm: int, n: int) -> tuple[int | None, ...]:
+    return _assignment(minterm, n)
+
+
+def _merge(a: tuple, b: tuple) -> tuple | None:
+    diff = None
+    for j, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            if x is None or y is None or diff is not None:
+                return None
+            diff = j
+    if diff is None:
+        return None
+    return a[:diff] + (None,) + a[diff + 1:]
+
+
+def reference_prime_implicants(n: int, on: list[int]) -> list[tuple]:
+    current = {_cube_of(m, n) for m in on}
+    primes: set[tuple] = set()
+    while current:
+        merged_from: set[tuple] = set()
+        nxt: set[tuple] = set()
+        grouped: dict[int, list[tuple]] = {}
+        for cube in current:
+            grouped.setdefault(sum(v == 1 for v in cube), []).append(cube)
+        for ones, group in grouped.items():
+            for cube in group:
+                for other in grouped.get(ones + 1, []):
+                    m = _merge(cube, other)
+                    if m is not None:
+                        nxt.add(m)
+                        merged_from.add(cube)
+                        merged_from.add(other)
+        primes |= current - merged_from
+        current = nxt
+    return sorted(primes, key=_implicant_str)
+
+
+def _covers(cube: tuple, minterm: int, n: int) -> bool:
+    bits = _assignment(minterm, n)
+    return all(v is None or v == b for v, b in zip(cube, bits))
+
+
+def _reference_minimum_cover(primes: list[tuple], on: list[int], n: int) -> list[tuple]:
+    n_on = len(on)
+    full = (1 << n_on) - 1
+    masks = []
+    for p in primes:
+        m = 0
+        for j, minterm in enumerate(on):
+            if _covers(p, minterm, n):
+                m |= 1 << j
+        masks.append(m)
+
+    essential: set[int] = set()
+    for j in range(n_on):
+        cands = [i for i in range(len(primes)) if masks[i] >> j & 1]
+        if len(cands) == 1:
+            essential.add(cands[0])
+    covered = 0
+    for i in essential:
+        covered |= masks[i]
+
+    remaining = full & ~covered
+    if remaining == 0:
+        return [primes[i] for i in sorted(essential)]
+
+    cand = sorted((i for i in range(len(primes)) if masks[i] & remaining),
+                  key=lambda i: _implicant_str(primes[i]))
+    cmasks = [masks[i] & remaining for i in cand]
+    n_cand = len(cand)
+    suffix_or = [0] * (n_cand + 1)
+    suffix_max = [0] * (n_cand + 1)
+    for i in range(n_cand - 1, -1, -1):
+        suffix_or[i] = suffix_or[i + 1] | cmasks[i]
+        suffix_max[i] = max(suffix_max[i + 1], cmasks[i].bit_count())
+
+    def dfs(start: int, uncov: int, left: int):
+        if uncov == 0:
+            return []
+        if left == 0 or uncov & ~suffix_or[start]:
+            return None
+        if left * suffix_max[start] < uncov.bit_count():
+            return None
+        for i in range(start, n_cand):
+            if cmasks[i] & uncov == 0:
+                continue
+            tail = dfs(i + 1, uncov & ~cmasks[i], left - 1)
+            if tail is not None:
+                return [i] + tail
+        return None
+
+    lower = -(-remaining.bit_count() // suffix_max[0])
+    for k in range(lower, n_cand + 1):
+        sol = dfs(0, remaining, k)
+        if sol is not None:
+            chosen = essential | {cand[i] for i in sol}
+            return [primes[i] for i in sorted(chosen)]
+    raise AssertionError("unreachable: minterm cubes alone form a cover")
+
+
+def exhaustive_minimum_size(table: TruthTable) -> int:
+    """Brute-force reference: smallest number of cubes covering the on-set.
+
+    Only feasible for tiny n; used to audit minimize() on 2-variable
+    functions where all 9 cubes and all subsets can be enumerated.
+    """
+    n = table.n_vars
+    on = [i for i, b in enumerate(table.outputs) if b]
+    if not on:
+        return 0
+    values: list[int | None] = [0, 1, None]
+    cubes = []
+    for combo in _all_cubes(n, values):
+        covered = {m for m in range(1 << n) if _covers(combo, m, n)}
+        if covered <= set(on):
+            cubes.append((combo, covered))
+    for size in range(1, len(cubes) + 1):
+        for subset in combinations(cubes, size):
+            hit = set()
+            for _, cov in subset:
+                hit |= cov
+            if hit == set(on):
+                return size
+    raise AssertionError("unreachable: minterm cubes always cover")
+
+
+def _all_cubes(n: int, values: list) -> list[tuple]:
+    cubes = [()]
+    for _ in range(n):
+        cubes = [c + (v,) for c in cubes for v in values]
+    return cubes

@@ -12,8 +12,8 @@ import time
 from pathlib import Path
 
 from helpers import (CAR_STATEMENT, CAR_TABLE, all_assignments,
-                     random_circuit, random_partitionable_circuit,
-                     random_statement)
+                     exhaustive_minimum_size, random_circuit,
+                     random_partitionable_circuit, random_statement)
 from zkfabric.circuit import (compose_evaluate, evaluate_plain, pad_inputs,
                               partition)
 from zkfabric.errors import ConsistencyCheckFailed
@@ -25,7 +25,7 @@ from zkfabric.ot import (group_by_name, ot_receiver_choose,
 from zkfabric.protocol import (SessionParams, replay_board, run_session,
                                run_simulation)
 from zkfabric.repository import Repository, encode_record
-from zkfabric.syntax import TruthTable, exhaustive_minimum_size, extract, minimize
+from zkfabric.syntax import TruthTable, extract, minimize
 
 GOLDEN_BOARD = Path(__file__).parent / "golden" / "car_toy23.board"
 

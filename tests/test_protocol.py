@@ -317,7 +317,7 @@ def test_replay_validates_accept_board():
                    "ot_consistency_mask-1", "ot_consistency_mask-2",
                    "ot_consistency_xm", "partition_label_valid_1",
                    "partition_label_valid_2", "aggregate_decode",
-                   "verdict_matches_aggregator"):
+                   "verdict_matches_aggregator", "parts_match_init"):
         assert wanted in names
 
 
@@ -388,6 +388,7 @@ def test_replay_reports_non_hex_salt(salt):
     ("session_init", "lambda_h", "z", "ValueError"),
     ("garbled_partition", "ot_c", "zz", "ValueError"),
     ("session_init", "group", "nope", "InvalidGroupElement"),
+    ("session_init", "n_parts", "two", "ValueError"),
 ])
 def test_replay_reports_malformed_field(kind, field, value, exc):
     records, target = edited_golden(kind, field, value)
@@ -396,6 +397,16 @@ def test_replay_reports_malformed_field(kind, field, value, exc):
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert [name for name, _ in failed] == ["well_formed"]
     assert failed[0][1].startswith(f"{kind} record {target.seq}: {exc}: ")
+
+
+def test_replay_flags_n_parts_that_disagrees_with_the_parts():
+    records, _ = edited_golden("session_init", "n_parts", 5)
+    report = replay_board(records)[0]
+    assert not report.ok
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert failed == [("parts_match_init",
+                       "n_parts 5: garbled_partition parts [1, 2]; "
+                       "mask_commit parts [1, 2]; mask_reveal parts [1, 2]")]
 
 
 def test_session_on_a_busy_board_posts_what_it_posts_alone():

@@ -2,8 +2,11 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import CAR_STATEMENT, CAR_TABLE, all_assignments, random_statement
+from helpers import (CAR_STATEMENT, CAR_TABLE, all_assignments,
+                     exhaustive_minimum_size, random_statement,
+                     reference_minimize, reference_prime_implicants)
 from zkfabric.errors import (
     EmptyClause,
     TooManyVariables,
@@ -20,9 +23,9 @@ from zkfabric.syntax import (
     TruthTable,
     Var,
     Xor,
+    _prime_implicants,
     build_expression,
     eval_expr,
-    exhaustive_minimum_size,
     expr_to_str,
     expression_to_truth_table,
     extract,
@@ -229,6 +232,38 @@ def test_minimize_matches_exhaustive_minimum_two_vars():
         outputs = tuple(code >> i & 1 for i in range(4))
         table = TruthTable(2, outputs)
         assert len(minimize(table).implicants) == exhaustive_minimum_size(table)
+
+
+def _assert_matches_reference(table):
+    on = [i for i, b in enumerate(table.outputs) if b]
+    assert (_prime_implicants(table.n_vars, on)
+            == reference_prime_implicants(table.n_vars, on))
+    assert minimize(table) == reference_minimize(table)
+
+
+def test_minimize_equals_reference_on_every_small_table():
+    """Every one of the 276 functions of 1-3 variables gets the same primes
+    and the same MinimizedExpr, implicant order included, as the reference."""
+    tables = [TruthTable(n, tuple(code >> i & 1 for i in range(1 << n)))
+              for n in (1, 2, 3) for code in range(1 << (1 << n))]
+    assert len(tables) == 276
+    for table in tables:
+        _assert_matches_reference(table)
+
+
+def _tables(n):
+    # a code drawn as one integer leans to sparse on-sets, a list of
+    # independent bits to on-sets near half the rows
+    sparse = st.integers(0, (1 << (1 << n)) - 1).map(
+        lambda code: tuple(code >> i & 1 for i in range(1 << n)))
+    balanced = st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)
+    return st.one_of(sparse, balanced).map(lambda bits: TruthTable(n, tuple(bits)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 6).flatmap(_tables))
+def test_minimize_equals_reference_on_random_tables(table):
+    _assert_matches_reference(table)
 
 
 def test_minimized_expr_to_expr_round_trip():
