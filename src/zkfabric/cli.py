@@ -19,13 +19,7 @@ from .errors import ZkFabricError
 from .garble import garble_circuit
 from .protocol import replay_board, run_simulation
 from .repository import Repository, encode_record
-from .syntax import (
-    build_expression,
-    expr_to_str,
-    expression_to_truth_table,
-    extract,
-    minimize,
-)
+from .syntax import build_expression, expr_to_str, extract, syn_gen
 
 
 def _statement_text(args) -> str:
@@ -54,11 +48,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    statement = extract(_statement_text(args), args.lambda_h)
-    expr = build_expression(statement)
-    table = expression_to_truth_table(expr, statement.n_vars)
-    reduced = minimize(table)
-    before = compile_expression(expr)
+    reduced, statement = syn_gen(_statement_text(args), args.lambda_h)
+    before = compile_expression(build_expression(statement))
     after = compile_expression(reduced)
     print(f"sop: {reduced.canonical()}")
     print(f"gates before: {len(before.gates)}")
@@ -67,10 +58,8 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_garble(args) -> int:
-    statement = extract(_statement_text(args), args.lambda_h)
-    expr = build_expression(statement)
-    table = expression_to_truth_table(expr, statement.n_vars)
-    circuit = compile_expression(minimize(table))
+    reduced, _ = syn_gen(_statement_text(args), args.lambda_h)
+    circuit = compile_expression(reduced)
     garbled, encode, decode = garble_circuit(circuit, args.seed, args.lambda_h)
     blob = {
         "n_inputs": circuit.n_inputs,

@@ -16,8 +16,15 @@ Roles and their record traffic:
 The prover accepts only when its own check (claimed value against the
 witness evaluation) agrees with the aggregator's posted view; any
 disagreement or failed validation aborts the session with a reason code
-on the board.  Every engine is single-threaded and advances by polling
+on the board; a record an engine cannot read (a missing field, a part
+that is not an integer, a value that is not hex) aborts it with reason
+MalformedRecord.  Every engine is single-threaded and advances by polling
 the board, so a whole session is a deterministic function of the seeds.
+Where the board holds a second record of what an engine looks for (a
+mask_commit for the same part; a garbled_partition, prover_labels or
+ot_transfer for the same party; an aggregate_publish, aggregate_output or
+final_verdict), the first one wins.  The prover's maps of chooses,
+outputs and reveals by id are the exception: there the last one wins.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .circuit import (
     LayeredCircuit,
     compile_expression,
     evaluate_plain,
-    evaluate_wires,
     netlist,
     partition,
 )
@@ -38,6 +44,7 @@ from .errors import (
     CommitMismatch,
     DecryptFailure,
     InvalidGroupElement,
+    MalformedRecord,
     PartitionOutputInvalid,
     UnknownLabel,
     VerdictMismatch,
@@ -56,8 +63,8 @@ from .garble import (
 )
 from .hashing import HashDrbg, commit_bit, sha256
 from .ot import (
-    OTChoose,
     OTTransfer,
+    element_to_bytes,
     group_by_name,
     in_subgroup,
     ot_receiver_choose,
@@ -121,23 +128,14 @@ class SessionParams:
 
 
 @dataclass
-class ProverAudit:
-    """Private session view kept by the prover for leak scanning in tests."""
-
-    witness: tuple[int, ...]
-    clause_texts: tuple[str, ...]
-    f_value: int
-    inactive_labels: tuple[str, ...]
-
-
-@dataclass
 class Transcript:
+    """What a session left in public, with the wall time of each phase."""
+
     session_id: str
     records: list[RepositoryRecord]
     verdict: str
     reason: str | None
     timings: dict[str, float]
-    audit: ProverAudit | None = None
 
 
 class _Engine:
@@ -161,8 +159,48 @@ class _Engine:
     def _session_init(self) -> dict:
         return self._fetch("session_init")[0].body
 
+    def _first(self, kind: str, key: str, value) -> dict | None:
+        """Body of the first `kind` record whose `key` field, read as the
+        type of `value`, equals `value`; None if there is none yet."""
+        for rec in self._fetch(kind):
+            if type(value)(rec.body[key]) == value:
+                return rec.body
+        return None
+
+    def _choose(self, ot_id: str, c_hex: str, bit: int) -> None:
+        """Post this party's receiver message for transfer `ot_id`."""
+        group = group_by_name(self._session_init()["group"])
+        choose, self.ot_state = ot_receiver_choose(
+            group, int(c_hex, 16), bit, self.drbg)
+        self._post("ot_choose", {
+            "session_id": ot_id,
+            "y0": element_to_bytes(group, choose.y0).hex(),
+            "y1": element_to_bytes(group, choose.y1).hex(),
+        })
+
+    def _recover(self, ot_id: str) -> bytes | None:
+        """The label that the transfer for `ot_id` carries to this party,
+        or None while the prover has not sent it."""
+        body = self._first("ot_transfer", "session_id", ot_id)
+        if body is None:
+            return None
+        return ot_receiver_recover(self.ot_state, OTTransfer(
+            (int(body["c0"][0], 16), bytes.fromhex(body["c0"][1])),
+            (int(body["c1"][0], 16), bytes.fromhex(body["c1"][1])),
+        ))
+
     def step(self) -> str | None:
-        raise NotImplementedError
+        """Run the current phase once. Return its name if it did work,
+        "abort" if it posted an abort, or None if it is still waiting."""
+        if self.done:
+            return None
+        try:
+            return getattr(self, "_" + self.phase)()
+        except ZkFabricError as exc:
+            self._abort(type(exc).__name__)
+        except (KeyError, TypeError, ValueError):
+            self._abort(MalformedRecord.__name__)
+        return "abort"
 
 
 def _tables_to_body(res: GarblingResult) -> dict:
@@ -211,7 +249,6 @@ class ProverEngine(_Engine):
         self.agg_result: GarblingResult | None = None
         self.agg_ot = None
         self.agg_transfer_sent = False
-        self.posted_y: int | None = None
 
     def bootstrap(self) -> None:
         lam = self.params.lambda_h
@@ -230,15 +267,6 @@ class ProverEngine(_Engine):
             "circuit": self.circuit.to_dict(),
             "netlist": netlist(self.circuit),
         })
-
-    def step(self) -> str | None:
-        if self.done:
-            return None
-        try:
-            return getattr(self, "_" + self.phase)()
-        except ZkFabricError as exc:
-            self._abort(type(exc).__name__)
-            return "abort"
 
     def _await_commits(self) -> str | None:
         for rec in self._fetch("mask_commit"):
@@ -270,7 +298,7 @@ class ProverEngine(_Engine):
         return "publish_partitions"
 
     def _elem(self, x: int) -> str:
-        return x.to_bytes(self.group.element_bytes, "big").hex()
+        return element_to_bytes(self.group, x).hex()
 
     def _await_chooses(self) -> str | None:
         chooses = {r.body["session_id"]: r.body for r in self._fetch("ot_choose")}
@@ -307,7 +335,6 @@ class ProverEngine(_Engine):
             return None
         lam = self.params.lambda_h
         self.masks = []
-        self.part_out_labels: list[bytes] = []
         for i in range(1, self.m1 + 1):
             r_bit = int(reveals[i]["r"])
             salt = bytes.fromhex(reveals[i]["salt"])
@@ -319,7 +346,6 @@ class ProverEngine(_Engine):
             if label not in pair:
                 raise PartitionOutputInvalid(f"part {i} posted a label outside its pair")
             self.masks.append(r_bit)
-            self.part_out_labels.append(label)
 
         agg = self.pset.aggregate
         self.agg_result = garble_full(agg.circuit, self.drbg, lam)
@@ -373,7 +399,6 @@ class ProverEngine(_Engine):
         y = decode_output(self.agg_result.decode, label)
         if y != int(body["y"]):
             raise VerdictMismatch("posted plaintext does not match the label")
-        self.posted_y = y
         my_accept = int(self.f_value == self.params.y_claim)
         if int(body["accept"]) != my_accept:
             raise VerdictMismatch("aggregator view disagrees with the prover")
@@ -381,37 +406,6 @@ class ProverEngine(_Engine):
                    {"verdict": "accept" if my_accept else "reject"})
         self.done = True
         return "final"
-
-    def build_audit(self) -> ProverAudit | None:
-        """Collect every label the published run left inactive."""
-        if self.posted_y is None or self.agg_result is None:
-            return None
-        inactive: list[str] = []
-
-        def collect(res: GarblingResult, bits) -> None:
-            values = evaluate_wires(res.garbled.circuit, bits)
-            for wire, pair in enumerate(res.wire_labels):
-                inactive.append(pair[1 - values[wire]].hex())
-
-        for part, res, r_bit in zip(self.pset.parts, self.part_results, self.masks):
-            local = tuple(self.witness[w] for w in part.parent_inputs) + (r_bit,)
-            collect(res, local)
-        agg = self.pset.aggregate
-        x_m = self.posted_y ^ self.f_value
-        part_bits = tuple(
-            evaluate_plain(p.circuit,
-                           tuple(self.witness[w] for w in p.parent_inputs) + (r,))
-            for p, r in zip(self.pset.parts, self.masks))
-        agg_bits = (part_bits
-                    + tuple(self.witness[w] for w in agg.passthrough_parents)
-                    + tuple(self.masks) + (x_m,))
-        collect(self.agg_result, agg_bits)
-        return ProverAudit(
-            witness=self.witness,
-            clause_texts=tuple(c.text for c in self.statement.clauses),
-            f_value=self.f_value,
-            inactive_labels=tuple(inactive),
-        )
 
 
 def _xor_all(bits) -> int:
@@ -433,16 +427,7 @@ class VerifierEngine(_Engine):
         self.r = self.drbg.randbit()
         self.salt = self.drbg.random_bytes(16)
         self.phase = "commit"
-        self.ot_state = None
-
-    def step(self) -> str | None:
-        if self.done:
-            return None
-        try:
-            return getattr(self, "_" + self.phase)()
-        except ZkFabricError as exc:
-            self._abort(type(exc).__name__)
-            return "abort"
+        self.ot_state = self.partition = self.labels = None
 
     def _commit(self) -> str:
         lam = int(self._session_init()["lambda_h"])
@@ -453,51 +438,25 @@ class VerifierEngine(_Engine):
         self.phase = "await_partition"
         return "commit"
 
-    def _my_partition_record(self) -> dict | None:
-        for rec in self._fetch("garbled_partition"):
-            if int(rec.body["part"]) == self.index:
-                return rec.body
-        return None
-
     def _await_partition(self) -> str | None:
-        body = self._my_partition_record()
-        labels = None
-        for rec in self._fetch("prover_labels"):
-            if int(rec.body["part"]) == self.index:
-                labels = rec.body["labels"]
-        if body is None or labels is None:
+        self.partition = self._first("garbled_partition", "part", self.index)
+        labels = self._first("prover_labels", "part", self.index)
+        if self.partition is None or labels is None:
             return None
-        group = group_by_name(self._session_init()["group"])
-        c = int(body["ot_c"], 16)
-        choose, self.ot_state = ot_receiver_choose(group, c, self.r, self.drbg)
-        self._post("ot_choose", {
-            "session_id": f"mask-{self.index}",
-            "y0": choose.y0.to_bytes(group.element_bytes, "big").hex(),
-            "y1": choose.y1.to_bytes(group.element_bytes, "big").hex(),
-        })
+        self.labels = labels["labels"]
+        self._choose(f"mask-{self.index}", self.partition["ot_c"], self.r)
         self.phase = "await_transfer"
         return "choose"
 
     def _await_transfer(self) -> str | None:
-        transfer = None
-        for rec in self._fetch("ot_transfer"):
-            if rec.body["session_id"] == f"mask-{self.index}":
-                transfer = rec.body
-        if transfer is None:
+        mask_label = self._recover(f"mask-{self.index}")
+        if mask_label is None:
             return None
-        mask_label = ot_receiver_recover(self.ot_state, OTTransfer(
-            (int(transfer["c0"][0], 16), bytes.fromhex(transfer["c0"][1])),
-            (int(transfer["c1"][0], 16), bytes.fromhex(transfer["c1"][1])),
-        ))
-        body = self._my_partition_record()
+        body = self.partition
         circuit = LayeredCircuit.from_dict(body["circuit"])
         lam = int(self._session_init()["lambda_h"])
         gc = _garbled_from_body(body, circuit, lam)
-        labels_rec = None
-        for rec in self._fetch("prover_labels"):
-            if int(rec.body["part"]) == self.index:
-                labels_rec = rec.body["labels"]
-        inputs = {int(k): bytes.fromhex(v) for k, v in labels_rec.items()}
+        inputs = {int(k): bytes.fromhex(v) for k, v in self.labels.items()}
         inputs[int(body["mask_input"])] = mask_label
         out_label = evaluate_garbled(gc, inputs)
         self._post("partition_output",
@@ -518,48 +477,22 @@ class AggregatorEngine(_Engine):
                              context=f"{params.session_id}/aggregator")
         self.x_m = self.drbg.randbit()
         self.phase = "await_publish"
-        self.ot_state = None
-
-    def step(self) -> str | None:
-        if self.done:
-            return None
-        try:
-            return getattr(self, "_" + self.phase)()
-        except ZkFabricError as exc:
-            self._abort(type(exc).__name__)
-            return "abort"
-
-    def _publish_body(self) -> dict | None:
-        recs = self._fetch("aggregate_publish")
-        return recs[0].body if recs else None
+        self.ot_state = self.publish = None
 
     def _await_publish(self) -> str | None:
-        body = self._publish_body()
-        if body is None:
+        recs = self._fetch("aggregate_publish")
+        if not recs:
             return None
-        group = group_by_name(self._session_init()["group"])
-        choose, self.ot_state = ot_receiver_choose(
-            group, int(body["ot_c"], 16), self.x_m, self.drbg)
-        self._post("ot_choose", {
-            "session_id": "xm",
-            "y0": choose.y0.to_bytes(group.element_bytes, "big").hex(),
-            "y1": choose.y1.to_bytes(group.element_bytes, "big").hex(),
-        })
+        self.publish = recs[0].body
+        self._choose("xm", self.publish["ot_c"], self.x_m)
         self.phase = "await_transfer"
         return "choose"
 
     def _await_transfer(self) -> str | None:
-        transfer = None
-        for rec in self._fetch("ot_transfer"):
-            if rec.body["session_id"] == "xm":
-                transfer = rec.body
-        if transfer is None:
+        xm_label = self._recover("xm")
+        if xm_label is None:
             return None
-        xm_label = ot_receiver_recover(self.ot_state, OTTransfer(
-            (int(transfer["c0"][0], 16), bytes.fromhex(transfer["c0"][1])),
-            (int(transfer["c1"][0], 16), bytes.fromhex(transfer["c1"][1])),
-        ))
-        body = self._publish_body()
+        body = self.publish
         init = self._session_init()
         lam = int(init["lambda_h"])
         circuit = LayeredCircuit.from_dict(body["circuit"])
@@ -637,7 +570,6 @@ def run_session(params: SessionParams, statement_text: str, witness,
         verdict=verdict_rec.body["verdict"],
         reason=verdict_rec.body.get("reason"),
         timings=timings,
-        audit=prover.build_audit(),
     )
 
 
@@ -701,6 +633,11 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
     report.verdict = verdict_body.get("verdict")
     if report.verdict == "abort":
         _check(report, "abort_reason", bool(verdict_body.get("reason")))
+    elif report.verdict in ("accept", "reject"):
+        # any party may abort; only the prover settles accept or reject
+        author = verdicts[0].author
+        _check(report, "verdict_author", author == "prover",
+               "" if author == "prover" else f"posted by {author}")
 
     init = by_kind.get("session_init", [None])[0]
     if init is None:
@@ -757,6 +694,15 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
         publishes = by_kind.get("aggregate_publish", [])
         if publishes:
             pub = publishes[0].body
+            reveals = by_kind.get("mask_reveal", [])
+            if reveals:
+                masks = 0
+                for rec in reveals:
+                    masks ^= int(rec.body["r"])
+                rec = publishes[0]
+                x1m = int(pub["x1m"])
+                _check(report, "x1m_matches_reveals", x1m == masks,
+                       "" if x1m == masks else f"x1m {x1m}, revealed masks XOR to {masks}")
             for rec in by_kind.get("partition_output", []):
                 part = int(rec.body["part"])
                 table = TranslationTable.from_lists(

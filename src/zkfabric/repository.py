@@ -159,15 +159,6 @@ class Repository:
         return [r for r in records
                 if r.seq >= since and (kind is None or r.kind == kind)]
 
-    def verify_board(self) -> bool:
-        """Full re-scan: contiguous sequence numbers and valid digests."""
-        for i, r in enumerate(self._records):
-            if r.seq != i:
-                raise StaleSequence(f"gap at {i}")
-            if r.digest != _digest_fields(r.seq, r.session, r.author, r.kind, r.body):
-                raise DigestMismatch(f"record {i}")
-        return True
-
     def __len__(self) -> int:
         return len(self._records)
 

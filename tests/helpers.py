@@ -1,9 +1,11 @@
 """Shared generators and fixtures for the test suite."""
 
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from zkfabric.circuit import CircuitBuilder
+from zkfabric.circuit import CircuitBuilder, evaluate_plain, evaluate_wires
+from zkfabric.protocol import ProverEngine, SessionParams, Transcript, run_session
 from zkfabric.repository import Repository, make_record
 from zkfabric.syntax import MinimizedExpr, TruthTable, _assignment, _implicant_str
 
@@ -84,6 +86,81 @@ def edited_golden(kind, field, value):
     records[i] = make_record(target.seq, target.session, target.author,
                              target.kind, {**target.body, field: value})
     return records, target
+
+
+@dataclass
+class ProverAudit:
+    """The prover's private view of a settled session, for leak scans."""
+
+    witness: tuple[int, ...]
+    clause_texts: tuple[str, ...]
+    f_value: int
+    inactive_labels: tuple[str, ...]
+
+
+@dataclass
+class AuditedTranscript(Transcript):
+    audit: ProverAudit | None = None
+
+
+def audited_session(params, statement_text, witness, repo=None,
+                    engine_overrides=None) -> AuditedTranscript:
+    """run_session, with the prover's audit attached as `audit`.  The
+    prover engine is caught by a subclass that records itself when it
+    bootstraps, so the audit is built from the engine's own state."""
+    overrides = dict(engine_overrides or {})
+    provers = []
+
+    class RecordingProver(overrides.get("prover", ProverEngine)):
+        def bootstrap(self):
+            provers.append(self)
+            super().bootstrap()
+
+    overrides["prover"] = RecordingProver
+    transcript = run_session(params, statement_text, witness, repo, overrides)
+    return AuditedTranscript(**vars(transcript),
+                             audit=prover_audit(provers[0], transcript))
+
+
+def audited_simulation(statement, witness, y_claim, seed=0, **params):
+    """run_simulation on an in-memory board, through audited_session."""
+    return audited_session(
+        SessionParams.from_master(seed, y_claim=y_claim, **params),
+        statement, witness)
+
+
+def prover_audit(prover, transcript) -> ProverAudit | None:
+    """Collect every label the published run left inactive; None unless
+    the session settled on accept or reject."""
+    if transcript.verdict not in ("accept", "reject"):
+        return None
+    posted_y = next(int(r.body["y"]) for r in transcript.records
+                    if r.kind == "aggregate_output")
+    witness = prover.witness
+    inactive: list[str] = []
+
+    def collect(res, bits) -> None:
+        values = evaluate_wires(res.garbled.circuit, bits)
+        for wire, pair in enumerate(res.wire_labels):
+            inactive.append(pair[1 - values[wire]].hex())
+
+    for part, res, r_bit in zip(prover.pset.parts, prover.part_results, prover.masks):
+        collect(res, tuple(witness[w] for w in part.parent_inputs) + (r_bit,))
+    agg = prover.pset.aggregate
+    x_m = posted_y ^ prover.f_value
+    part_bits = tuple(
+        evaluate_plain(p.circuit, tuple(witness[w] for w in p.parent_inputs) + (r,))
+        for p, r in zip(prover.pset.parts, prover.masks))
+    agg_bits = (part_bits
+                + tuple(witness[w] for w in agg.passthrough_parents)
+                + tuple(prover.masks) + (x_m,))
+    collect(prover.agg_result, agg_bits)
+    return ProverAudit(
+        witness=witness,
+        clause_texts=tuple(c.text for c in prover.statement.clauses),
+        f_value=prover.f_value,
+        inactive_labels=tuple(inactive),
+    )
 
 
 # A tuple-walking Quine-McCluskey that shares no merge or cover logic with

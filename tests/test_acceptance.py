@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 from helpers import (CAR_STATEMENT, CAR_TABLE, all_assignments,
+                     audited_session, audited_simulation,
                      exhaustive_minimum_size, random_circuit,
                      random_partitionable_circuit, random_statement)
 from zkfabric.circuit import (compose_evaluate, evaluate_plain, pad_inputs,
@@ -22,8 +23,7 @@ from zkfabric.hashing import HashDrbg
 from zkfabric.ot import (group_by_name, ot_receiver_choose,
                          ot_receiver_recover, ot_sender_init,
                          ot_sender_transfer)
-from zkfabric.protocol import (SessionParams, replay_board, run_session,
-                               run_simulation)
+from zkfabric.protocol import SessionParams, replay_board, run_simulation
 from zkfabric.repository import Repository, encode_record
 from zkfabric.syntax import TruthTable, extract, minimize
 
@@ -175,8 +175,8 @@ def test_criterion_5_car_statement_exhaustive_production_group():
                     verifier_seed_base=1,
                 )
                 t0 = time.perf_counter()
-                transcript = run_session(params, CAR_STATEMENT, witness,
-                                         Repository())
+                transcript = audited_session(params, CAR_STATEMENT, witness,
+                                             Repository())
                 elapsed = time.perf_counter() - t0
                 worst = max(worst, elapsed)
                 assert elapsed < 1.0
@@ -231,8 +231,8 @@ def test_criterion_6_boards_do_not_leak():
         n = extract(statement).n_vars
         witness = "".join(str(rng.randrange(2)) for _ in range(n))
         claim = rng.randrange(2)
-        transcript = run_simulation(statement, witness, claim,
-                                    seed=trial, group="toy23")
+        transcript = audited_simulation(statement, witness, claim,
+                                        seed=trial, group="toy23")
         assert transcript.verdict in ("accept", "reject")
         board_text = b"".join(
             encode_record(r) + b"\n" for r in transcript.records

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,6 +8,8 @@ from helpers import (
     CAR_TABLE,
     GOLDEN_BOARD,
     all_assignments,
+    audited_session,
+    audited_simulation,
     edited_golden,
     random_statement,
 )
@@ -176,6 +179,19 @@ def test_timings_recorded():
     assert all(v >= 0 for v in transcript.timings.values())
 
 
+def test_timings_carry_the_traced_phase_names():
+    """The phases bench/tracing.py reads, verifier-<i> summed as verifier."""
+    transcript = car_run("111", 1)
+    phases = {re.sub(r"^verifier-\d+\.", "verifier.", key)
+              for key in transcript.timings}
+    assert phases == {
+        "prover.bootstrap", "prover.publish_partitions", "prover.ot_transfer",
+        "prover.aggregate_setup", "prover.final", "verifier.commit",
+        "verifier.choose", "verifier.evaluate", "aggregator.choose",
+        "aggregator.aggregate",
+    }
+
+
 def test_x1m_is_xor_of_revealed_masks():
     for seed in range(4):
         transcript = car_run("111", 1, seed=seed)
@@ -198,7 +214,7 @@ def test_published_partitions_carry_no_decode_map():
 
 
 def test_audit_collects_inactive_labels():
-    transcript = car_run("111", 1)
+    transcript = audited_simulation(CAR_STATEMENT, "111", 1, seed=1, group="toy23")
     audit = transcript.audit
     assert audit is not None
     assert audit.witness == (1, 1, 1)
@@ -218,8 +234,8 @@ def test_commit_reveal_binding_flipped_mask_aborts():
             return super()._await_partition()
 
     params = SessionParams.from_master(3, 1, group="toy23")
-    transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
-                             engine_overrides={"verifier-1": MaskFlippingVerifier})
+    transcript = audited_session(params, CAR_STATEMENT, "111", Repository(),
+                                 engine_overrides={"verifier-1": MaskFlippingVerifier})
     assert transcript.verdict == "abort"
     assert transcript.reason == "CommitMismatch"
     assert transcript.audit is None
@@ -293,6 +309,29 @@ def test_duplicate_commit_first_one_wins():
     assert transcript.verdict == "accept"
     commits = [r for r in transcript.records if r.kind == "mask_commit"]
     assert len(commits) == 3
+
+
+@pytest.mark.parametrize("role, kind, field, value", [
+    ("verifier-1", "mask_commit", "part", "x"),
+    ("verifier-2", "ot_choose", "y0", "zz"),
+])
+def test_malformed_record_aborts_instead_of_raising(role, kind, field, value):
+    class MalformingVerifier(VerifierEngine):
+        def _post(self, posted_kind, body):
+            if posted_kind == kind:
+                body = {**body, field: value}
+            return super()._post(posted_kind, body)
+
+    params = SessionParams.from_master(10, 1, group="toy23")
+    transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
+                             engine_overrides={role: MalformingVerifier})
+    assert transcript.verdict == "abort"
+    assert transcript.reason == "MalformedRecord"
+    verdicts = [r for r in transcript.records if r.kind == "final_verdict"]
+    assert [r.author for r in verdicts] == ["prover"]
+    report = replay_board(transcript.records)[0]
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert failed == ["well_formed"]
 
 
 def test_stalled_session_raises_instead_of_spinning():
@@ -407,6 +446,27 @@ def test_replay_flags_n_parts_that_disagrees_with_the_parts():
     assert failed == [("parts_match_init",
                        "n_parts 5: garbled_partition parts [1, 2]; "
                        "mask_commit parts [1, 2]; mask_reveal parts [1, 2]")]
+
+
+def test_replay_flags_x1m_that_disagrees_with_the_reveals():
+    records, target = edited_golden("aggregate_publish", "x1m", 1)
+    assert target.body["x1m"] == 0
+    report = replay_board(records)[0]
+    assert not report.ok
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert failed == [("x1m_matches_reveals", "x1m 1, revealed masks XOR to 0")]
+
+
+def test_replay_flags_a_verdict_not_posted_by_the_prover():
+    records = list(Repository(GOLDEN_BOARD))
+    verdict = records[-1]
+    assert (verdict.kind, verdict.author) == ("final_verdict", "prover")
+    records[-1] = make_record(verdict.seq, verdict.session, "verifier-1",
+                              verdict.kind, verdict.body)
+    report = replay_board(records)[0]
+    assert not report.ok
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert failed == [("verdict_author", "posted by verifier-1")]
 
 
 def test_session_on_a_busy_board_posts_what_it_posts_alone():

@@ -250,12 +250,6 @@ def test_unicode_body_survives_ascii_encoding():
     assert decode_record(data).body["note"] == "café"
 
 
-def test_verify_board():
-    repo = Repository()
-    fill(repo, 4)
-    assert repo.verify_board() is True
-
-
 def test_identical_records_identical_bytes():
     a = make_record(0, "s1", "prover", "session_init", {"k": [1, 2]})
     b = make_record(0, "s1", "prover", "session_init", {"k": [1, 2]})
