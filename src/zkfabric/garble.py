@@ -92,10 +92,6 @@ class DecodeInfo:
     def to_lists(self) -> list[list]:
         return [[h, b] for h, b in self.entries]
 
-    @classmethod
-    def from_lists(cls, data: list, digest_bits: int) -> "DecodeInfo":
-        return cls(tuple((str(h), int(b)) for h, b in data), digest_bits)
-
 
 @dataclass(frozen=True)
 class GarblingResult:
@@ -186,25 +182,21 @@ class TranslationTable:
     which plaintext bit each one serves.
     """
 
-    entries: tuple[tuple[str, str], ...]
+    entries: tuple[tuple[str, bytes], ...]
     digest_bits: int
 
     def apply(self, label: bytes) -> bytes:
         h = digest_hex(label, self.digest_bits)
         for key, enc in self.entries:
             if key == h:
-                down = translate_dec(label, bytes.fromhex(enc))
+                down = translate_dec(label, enc)
                 if down is None:
                     raise UnknownLabel("translation entry failed to authenticate")
                 return down
         raise UnknownLabel("label has no translation entry")
 
     def to_lists(self) -> list[list[str]]:
-        return [[k, e] for k, e in self.entries]
-
-    @classmethod
-    def from_lists(cls, data: list, digest_bits: int) -> "TranslationTable":
-        return cls(tuple((str(k), str(e)) for k, e in data), digest_bits)
+        return [[k, e.hex()] for k, e in self.entries]
 
 
 def build_translation(
@@ -214,7 +206,7 @@ def build_translation(
 ) -> TranslationTable:
     entries = sorted(
         (digest_hex(up_pair[b], digest_bits),
-         translate_enc(up_pair[b], down_pair[b]).hex())
+         translate_enc(up_pair[b], down_pair[b]))
         for b in (0, 1)
     )
     return TranslationTable(tuple(entries), digest_bits)

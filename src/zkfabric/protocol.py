@@ -16,21 +16,26 @@ Roles and their record traffic:
 The prover accepts only when its own check (claimed value against the
 witness evaluation) agrees with the aggregator's posted view; any
 disagreement or failed validation aborts the session with a reason code
-on the board; a record an engine cannot read (a missing field, a part
-that is not an integer, a value that is not hex) aborts it with reason
-MalformedRecord.  Every engine is single-threaded and advances by polling
+on the board.  Every engine is single-threaded and advances by polling
 the board, so a whole session is a deterministic function of the seeds.
 Where the board holds a second record of what an engine looks for (a
 mask_commit for the same part; a garbled_partition, prover_labels or
 ot_transfer for the same party; an aggregate_publish, aggregate_output or
 final_verdict), the first one wins.  The prover's maps of chooses,
 outputs and reveals by id are the exception: there the last one wins.
+
+Engines and replay read every body field through read(rec, name) and its
+table FIELDS.  A field it cannot read (missing, of the wrong JSON type,
+not hex) aborts the session with reason MalformedRecord, or fails the
+replay's well_formed check with a detail naming the record and field.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 
 from .circuit import (
     LayeredCircuit,
@@ -61,7 +66,7 @@ from .garble import (
     evaluate_garbled,
     garble_full,
 )
-from .hashing import HashDrbg, commit_bit, sha256
+from .hashing import LABEL_BYTES, HashDrbg, commit_bit, sha256
 from .ot import (
     OTTransfer,
     element_to_bytes,
@@ -88,31 +93,88 @@ def _derive_seed(material: str) -> int:
     return int.from_bytes(sha256(material.encode())[:8], "big")
 
 
+# Readers of record body fields.  FIELDS is the board's body format: a
+# field name reads the same way in every record kind.
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{type(value).__name__} is not a string")
+    return value
+
+
+def _lambda_h(value) -> int:
+    if int(value) not in (128, 256):
+        raise ValueError(f"{value!r} is neither 128 nor 256")
+    return int(value)
+
+
+def _each(reader):
+    """The reader of a list whose every item `reader` reads."""
+    return lambda value: tuple(reader(v) for v in value)
+
+
+def _element(value) -> int:
+    return int(value, 16)
+
+
+def _label_map(value) -> dict[int, bytes]:
+    return {int(k): bytes.fromhex(v) for k, v in value.items()}
+
+
+FIELDS = {
+    "part": int, "n_vars": int, "n_parts": int, "label_bits": int,
+    "y_claim": int, "r": int, "x1m": int, "y": int, "accept": int,
+    "mask_input": int, "agg_input": int, "lambda_h": _lambda_h,
+    "parent_inputs": _each(int), "part_inputs": _each(int),
+    "mask_inputs": _each(int), "passthrough_inputs": _each(int),
+    "passthrough_parents": _each(int),
+    "group": group_by_name, "session_id": _text, "commitment": _text,
+    "sop": _text, "verdict": _text, "reason": _text,
+    "operators": _each(_text), "netlist": _each(_text),
+    "label": bytes.fromhex, "salt": bytes.fromhex,
+    "clause_digests": _each(bytes.fromhex), "const_labels": _each(bytes.fromhex),
+    "y0": _element, "y1": _element, "ot_c": _element,
+    # a transfer half: (sender element, masked label)
+    "c0": lambda v: (_element(v[0]), bytes.fromhex(v[1])),
+    "c1": lambda v: (_element(v[0]), bytes.fromhex(v[1])),
+    "labels": _label_map, "input_labels": _label_map,
+    "circuit": LayeredCircuit.from_dict,
+    "tables": lambda v: tuple(GarbledGate(tuple(map(bytes.fromhex, rows))) for rows in v),
+    # {part: TranslationTable entries}; {label hash: bit} as DecodeInfo entries
+    "translations": lambda v: {
+        int(part): tuple((_text(key), bytes.fromhex(enc)) for key, enc in entries)
+        for part, entries in v.items()},
+    "decode": lambda v: tuple((_text(h), int(bit)) for h, bit in v),
+}
+
+
+def read(rec: RepositoryRecord, name: str):
+    """Body field `name` of `rec`, decoded by its reader in FIELDS.  A field
+    that is missing or refused raises MalformedRecord naming rec and name."""
+    reader = FIELDS[name]
+    try:
+        return reader(rec.body[name])
+    except (KeyError, TypeError, ValueError, AttributeError, InvalidGroupElement) as exc:
+        raise MalformedRecord(f"{rec.kind} record {rec.seq}: "
+                              f"{type(exc).__name__}: {name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SessionParams:
     session_id: str
     y_claim: int
     lambda_h: int = 256
-    label_bits: int = 128
     group: str = "modp2048"
     n_verifiers: int | None = None
     prover_seed: int = 0
     aggregator_seed: int = 0
     verifier_seed_base: int = 0
-    verifier_seeds: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.lambda_h not in (128, 256):
             raise ValueError(f"lambda_h={self.lambda_h}")
-        if self.label_bits != 128:
-            raise ValueError("label width is fixed at 128 bits")
         if self.y_claim not in (0, 1):
             raise ValueError("y_claim must be a bit")
-
-    def verifier_seed(self, index: int) -> int:
-        if index - 1 < len(self.verifier_seeds):
-            return self.verifier_seeds[index - 1]
-        return _derive_seed(f"{self.verifier_seed_base}/verifier/{index}")
 
     @classmethod
     def from_master(cls, master: int, y_claim: int, **overrides) -> "SessionParams":
@@ -156,22 +218,20 @@ class _Engine:
     def _fetch(self, kind: str) -> list[RepositoryRecord]:
         return self.repo.fetch(session=self.params.session_id, kind=kind)
 
-    def _session_init(self) -> dict:
-        return self._fetch("session_init")[0].body
+    def _session_init(self) -> RepositoryRecord:
+        return self._fetch("session_init")[0]
 
-    def _first(self, kind: str, key: str, value) -> dict | None:
-        """Body of the first `kind` record whose `key` field, read as the
-        type of `value`, equals `value`; None if there is none yet."""
+    def _first(self, kind: str, key: str, value) -> RepositoryRecord | None:
+        """The first `kind` record whose `key` field reads as `value`, or None."""
         for rec in self._fetch(kind):
-            if type(value)(rec.body[key]) == value:
-                return rec.body
+            if read(rec, key) == value:
+                return rec
         return None
 
-    def _choose(self, ot_id: str, c_hex: str, bit: int) -> None:
+    def _choose(self, ot_id: str, c: int, bit: int) -> None:
         """Post this party's receiver message for transfer `ot_id`."""
-        group = group_by_name(self._session_init()["group"])
-        choose, self.ot_state = ot_receiver_choose(
-            group, int(c_hex, 16), bit, self.drbg)
+        group = read(self._session_init(), "group")
+        choose, self.ot_state = ot_receiver_choose(group, c, bit, self.drbg)
         self._post("ot_choose", {
             "session_id": ot_id,
             "y0": element_to_bytes(group, choose.y0).hex(),
@@ -181,13 +241,11 @@ class _Engine:
     def _recover(self, ot_id: str) -> bytes | None:
         """The label that the transfer for `ot_id` carries to this party,
         or None while the prover has not sent it."""
-        body = self._first("ot_transfer", "session_id", ot_id)
-        if body is None:
+        rec = self._first("ot_transfer", "session_id", ot_id)
+        if rec is None:
             return None
-        return ot_receiver_recover(self.ot_state, OTTransfer(
-            (int(body["c0"][0], 16), bytes.fromhex(body["c0"][1])),
-            (int(body["c1"][0], 16), bytes.fromhex(body["c1"][1])),
-        ))
+        return ot_receiver_recover(
+            self.ot_state, OTTransfer(read(rec, "c0"), read(rec, "c1")))
 
     def step(self) -> str | None:
         """Run the current phase once. Return its name if it did work,
@@ -210,13 +268,9 @@ def _tables_to_body(res: GarblingResult) -> dict:
     }
 
 
-def _garbled_from_body(body: dict, circuit: LayeredCircuit, digest_bits: int) -> GarbledCircuit:
-    tables = tuple(
-        GarbledGate(tuple(bytes.fromhex(row) for row in rows))
-        for rows in body["tables"]
-    )
-    consts = tuple(bytes.fromhex(h) for h in body["const_labels"])
-    return GarbledCircuit(circuit, tables, consts, digest_bits)
+def _garbled(rec: RepositoryRecord, digest_bits: int) -> GarbledCircuit:
+    return GarbledCircuit(read(rec, "circuit"), read(rec, "tables"),
+                          read(rec, "const_labels"), digest_bits)
 
 
 class ProverEngine(_Engine):
@@ -248,13 +302,11 @@ class ProverEngine(_Engine):
         self.masks: list[int] = []
         self.agg_result: GarblingResult | None = None
         self.agg_ot = None
-        self.agg_transfer_sent = False
 
     def bootstrap(self) -> None:
-        lam = self.params.lambda_h
         self._post("session_init", {
-            "lambda_h": lam,
-            "label_bits": self.params.label_bits,
+            "lambda_h": self.params.lambda_h,
+            "label_bits": LABEL_BYTES * 8,
             "group": self.params.group,
             "n_vars": self.statement.n_vars,
             "n_parts": self.m1,
@@ -270,9 +322,8 @@ class ProverEngine(_Engine):
 
     def _await_commits(self) -> str | None:
         for rec in self._fetch("mask_commit"):
-            part = int(rec.body["part"])
-            self.commitments.setdefault(part, str(rec.body["commitment"]))
-        if set(self.commitments) < set(range(1, self.m1 + 1)):
+            self.commitments.setdefault(read(rec, "part"), read(rec, "commitment"))
+        if not set(range(1, self.m1 + 1)) <= set(self.commitments):
             return None
         lam = self.params.lambda_h
         for i, part in enumerate(self.pset.parts, start=1):
@@ -301,26 +352,24 @@ class ProverEngine(_Engine):
         return element_to_bytes(self.group, x).hex()
 
     def _await_chooses(self) -> str | None:
-        chooses = {r.body["session_id"]: r.body for r in self._fetch("ot_choose")}
+        chooses = {read(r, "session_id"): r for r in self._fetch("ot_choose")}
         progress = False
         for i in range(1, self.m1 + 1):
             if i in self.transfers_sent or f"mask-{i}" not in chooses:
                 continue
-            body = chooses[f"mask-{i}"]
             mask_wire = self.pset.parts[i - 1].mask_input
             pair = self.part_results[i - 1].wire_labels[mask_wire]
-            self._send_transfer(f"mask-{i}", self.part_ot[i], body, pair)
+            self._send_transfer(f"mask-{i}", self.part_ot[i], chooses[f"mask-{i}"], pair)
             self.transfers_sent.add(i)
             progress = True
         if len(self.transfers_sent) == self.m1:
             self.phase = "await_outputs"
         return "ot_transfer" if progress else None
 
-    def _send_transfer(self, ot_id: str, state, choose_body: dict,
+    def _send_transfer(self, ot_id: str, state, choose: RepositoryRecord,
                        pair: tuple[bytes, bytes]) -> None:
-        y0 = int(choose_body["y0"], 16)
-        y1 = int(choose_body["y1"], 16)
-        tr = ot_sender_transfer(state, y0, y1, pair[0], pair[1], self.drbg)
+        tr = ot_sender_transfer(state, read(choose, "y0"), read(choose, "y1"),
+                                pair[0], pair[1], self.drbg)
         self._post("ot_transfer", {
             "session_id": ot_id,
             "c0": [self._elem(tr.c0[0]), tr.c0[1].hex()],
@@ -328,22 +377,19 @@ class ProverEngine(_Engine):
         })
 
     def _await_outputs(self) -> str | None:
-        outputs = {int(r.body["part"]): r.body for r in self._fetch("partition_output")}
-        reveals = {int(r.body["part"]): r.body for r in self._fetch("mask_reveal")}
+        outputs = {read(r, "part"): r for r in self._fetch("partition_output")}
+        reveals = {read(r, "part"): r for r in self._fetch("mask_reveal")}
         wanted = set(range(1, self.m1 + 1))
-        if set(outputs) < wanted or set(reveals) < wanted:
+        if not (wanted <= set(outputs) and wanted <= set(reveals)):
             return None
         lam = self.params.lambda_h
-        self.masks = []
         for i in range(1, self.m1 + 1):
-            r_bit = int(reveals[i]["r"])
-            salt = bytes.fromhex(reveals[i]["salt"])
-            if commit_bit(r_bit, salt, lam) != self.commitments[i]:
+            r_bit = read(reveals[i], "r")
+            if commit_bit(r_bit, read(reveals[i], "salt"), lam) != self.commitments[i]:
                 raise CommitMismatch(f"part {i} reveal does not open its commitment")
             out_wire = self.pset.parts[i - 1].circuit.output
             pair = self.part_results[i - 1].wire_labels[out_wire]
-            label = bytes.fromhex(outputs[i]["label"])
-            if label not in pair:
+            if read(outputs[i], "label") not in pair:
                 raise PartitionOutputInvalid(f"part {i} posted a label outside its pair")
             self.masks.append(r_bit)
 
@@ -373,7 +419,7 @@ class ProverEngine(_Engine):
             "decode": self.agg_result.decode.to_lists(),
             "input_labels": input_labels,
             "ot_c": self._elem(c),
-            "x1m": _xor_all(self.masks),
+            "x1m": reduce(xor, self.masks, 0),
         }
         body.update(_tables_to_body(self.agg_result))
         self._post("aggregate_publish", body)
@@ -381,12 +427,11 @@ class ProverEngine(_Engine):
         return "aggregate_setup"
 
     def _await_agg_choose(self) -> str | None:
-        chooses = {r.body["session_id"]: r.body for r in self._fetch("ot_choose")}
-        if "xm" not in chooses or self.agg_transfer_sent:
+        chooses = {read(r, "session_id"): r for r in self._fetch("ot_choose")}
+        if "xm" not in chooses:
             return None
         pair = self.agg_result.wire_labels[self.pset.aggregate.agg_input]
         self._send_transfer("xm", self.agg_ot, chooses["xm"], pair)
-        self.agg_transfer_sent = True
         self.phase = "await_agg_output"
         return "ot_transfer"
 
@@ -394,25 +439,16 @@ class ProverEngine(_Engine):
         recs = self._fetch("aggregate_output")
         if not recs:
             return None
-        body = recs[0].body
-        label = bytes.fromhex(body["label"])
-        y = decode_output(self.agg_result.decode, label)
-        if y != int(body["y"]):
+        y = decode_output(self.agg_result.decode, read(recs[0], "label"))
+        if y != read(recs[0], "y"):
             raise VerdictMismatch("posted plaintext does not match the label")
         my_accept = int(self.f_value == self.params.y_claim)
-        if int(body["accept"]) != my_accept:
+        if read(recs[0], "accept") != my_accept:
             raise VerdictMismatch("aggregator view disagrees with the prover")
         self._post("final_verdict",
                    {"verdict": "accept" if my_accept else "reject"})
         self.done = True
         return "final"
-
-
-def _xor_all(bits) -> int:
-    out = 0
-    for b in bits:
-        out ^= int(b)
-    return out
 
 
 class VerifierEngine(_Engine):
@@ -422,15 +458,15 @@ class VerifierEngine(_Engine):
         super().__init__(params, repo)
         self.index = index
         self.role = f"verifier-{index}"
-        self.drbg = HashDrbg(params.verifier_seed(index),
-                             context=f"{params.session_id}/verifier-{index}")
+        seed = _derive_seed(f"{params.verifier_seed_base}/verifier/{index}")
+        self.drbg = HashDrbg(seed, context=f"{params.session_id}/verifier-{index}")
         self.r = self.drbg.randbit()
         self.salt = self.drbg.random_bytes(16)
         self.phase = "commit"
         self.ot_state = self.partition = self.labels = None
 
     def _commit(self) -> str:
-        lam = int(self._session_init()["lambda_h"])
+        lam = read(self._session_init(), "lambda_h")
         self._post("mask_commit", {
             "part": self.index,
             "commitment": commit_bit(self.r, self.salt, lam),
@@ -443,8 +479,8 @@ class VerifierEngine(_Engine):
         labels = self._first("prover_labels", "part", self.index)
         if self.partition is None or labels is None:
             return None
-        self.labels = labels["labels"]
-        self._choose(f"mask-{self.index}", self.partition["ot_c"], self.r)
+        self.labels = read(labels, "labels")
+        self._choose(f"mask-{self.index}", read(self.partition, "ot_c"), self.r)
         self.phase = "await_transfer"
         return "choose"
 
@@ -452,12 +488,8 @@ class VerifierEngine(_Engine):
         mask_label = self._recover(f"mask-{self.index}")
         if mask_label is None:
             return None
-        body = self.partition
-        circuit = LayeredCircuit.from_dict(body["circuit"])
-        lam = int(self._session_init()["lambda_h"])
-        gc = _garbled_from_body(body, circuit, lam)
-        inputs = {int(k): bytes.fromhex(v) for k, v in self.labels.items()}
-        inputs[int(body["mask_input"])] = mask_label
+        gc = _garbled(self.partition, read(self._session_init(), "lambda_h"))
+        inputs = {**self.labels, read(self.partition, "mask_input"): mask_label}
         out_label = evaluate_garbled(gc, inputs)
         self._post("partition_output",
                    {"part": self.index, "label": out_label.hex()})
@@ -483,8 +515,8 @@ class AggregatorEngine(_Engine):
         recs = self._fetch("aggregate_publish")
         if not recs:
             return None
-        self.publish = recs[0].body
-        self._choose("xm", self.publish["ot_c"], self.x_m)
+        self.publish = recs[0]
+        self._choose("xm", read(self.publish, "ot_c"), self.x_m)
         self.phase = "await_transfer"
         return "choose"
 
@@ -492,24 +524,21 @@ class AggregatorEngine(_Engine):
         xm_label = self._recover("xm")
         if xm_label is None:
             return None
-        body = self.publish
+        pub = self.publish
         init = self._session_init()
-        lam = int(init["lambda_h"])
-        circuit = LayeredCircuit.from_dict(body["circuit"])
-        gc = _garbled_from_body(body, circuit, lam)
+        lam = read(init, "lambda_h")
+        gc = _garbled(pub, lam)
 
-        outputs = {int(r.body["part"]): bytes.fromhex(r.body["label"])
+        outputs = {read(r, "part"): read(r, "label")
                    for r in self._fetch("partition_output")}
-        inputs: dict[int, bytes] = {}
-        for i, local in enumerate(body["part_inputs"], start=1):
-            table = TranslationTable.from_lists(body["translations"][str(i)], lam)
-            inputs[int(local)] = table.apply(outputs[i])
-        for k, v in body["input_labels"].items():
-            inputs[int(k)] = bytes.fromhex(v)
-        inputs[int(body["agg_input"])] = xm_label
+        translations = read(pub, "translations")
+        inputs = {local: TranslationTable(translations[i], lam).apply(outputs[i])
+                  for i, local in enumerate(read(pub, "part_inputs"), start=1)}
+        inputs.update(read(pub, "input_labels"))
+        inputs[read(pub, "agg_input")] = xm_label
         out_label = evaluate_garbled(gc, inputs)
-        y = decode_output(DecodeInfo.from_lists(body["decode"], lam), out_label)
-        accept = self._decide(y, int(init["y_claim"]))
+        y = decode_output(DecodeInfo(read(pub, "decode"), lam), out_label)
+        accept = self._decide(y, read(init, "y_claim"))
         self._post("aggregate_output",
                    {"label": out_label.hex(), "y": y, "accept": accept})
         self.done = True
@@ -642,50 +671,35 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
     init = by_kind.get("session_init", [None])[0]
     if init is None:
         return report
-    # Every loop below names the record it reads `rec`, so a malformed
-    # field is reported against the record that carries it.
     try:
-        rec = init
-        lam = int(init.body["lambda_h"])
-        group = group_by_name(init.body["group"])
+        lam = read(init, "lambda_h")
+        group = read(init, "group")
 
         if report.verdict in ("accept", "reject"):
-            n_parts = int(init.body["n_parts"])
+            n_parts = read(init, "n_parts")
             found = []
             for kind in ("garbled_partition", "mask_commit", "mask_reveal"):
-                parts = []
-                for rec in by_kind.get(kind, []):
-                    parts.append(int(rec.body["part"]))
-                parts.sort()
+                parts = sorted(read(rec, "part") for rec in by_kind.get(kind, []))
                 if parts != list(range(1, n_parts + 1)):
                     found.append(f"{kind} parts {parts}")
             _check(report, "parts_match_init", not found,
                    f"n_parts {n_parts}: " + "; ".join(found) if found else "")
 
-        commits = {}
-        for rec in by_kind.get("mask_commit", []):
-            commits[int(rec.body["part"])] = str(rec.body["commitment"])
+        commits = {read(rec, "part"): read(rec, "commitment")
+                   for rec in by_kind.get("mask_commit", [])}
         for rec in by_kind.get("mask_reveal", []):
-            part = int(rec.body["part"])
-            try:
-                salt = bytes.fromhex(rec.body["salt"])
-            except (TypeError, ValueError):
-                _check(report, f"commit_opens_part_{part}", False,
-                       f"mask_reveal.salt {rec.body['salt']!r} is not hex")
-                continue
-            opened = commit_bit(int(rec.body["r"]), salt, lam)
+            part = read(rec, "part")
+            opened = commit_bit(read(rec, "r"), read(rec, "salt"), lam)
             _check(report, f"commit_opens_part_{part}",
                    commits.get(part) == opened)
 
-        ot_c: dict[str, int] = {}
-        for rec in by_kind.get("garbled_partition", []):
-            ot_c[f"mask-{int(rec.body['part'])}"] = int(rec.body["ot_c"], 16)
+        ot_c = {f"mask-{read(rec, 'part')}": read(rec, "ot_c")
+                for rec in by_kind.get("garbled_partition", [])}
         for rec in by_kind.get("aggregate_publish", []):
-            ot_c["xm"] = int(rec.body["ot_c"], 16)
+            ot_c["xm"] = read(rec, "ot_c")
         for rec in by_kind.get("ot_choose", []):
-            ot_id = rec.body["session_id"]
-            y0 = int(rec.body["y0"], 16)
-            y1 = int(rec.body["y1"], 16)
+            ot_id = read(rec, "session_id")
+            y0, y1 = read(rec, "y0"), read(rec, "y1")
             ok = (ot_id in ot_c
                   and in_subgroup(group, y0) and in_subgroup(group, y1)
                   and y0 * y1 % group.p == ot_c[ot_id])
@@ -693,39 +707,35 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
 
         publishes = by_kind.get("aggregate_publish", [])
         if publishes:
-            pub = publishes[0].body
+            pub = publishes[0]
             reveals = by_kind.get("mask_reveal", [])
             if reveals:
-                masks = 0
-                for rec in reveals:
-                    masks ^= int(rec.body["r"])
-                rec = publishes[0]
-                x1m = int(pub["x1m"])
+                masks = reduce(xor, (read(rec, "r") for rec in reveals), 0)
+                x1m = read(pub, "x1m")
                 _check(report, "x1m_matches_reveals", x1m == masks,
                        "" if x1m == masks else f"x1m {x1m}, revealed masks XOR to {masks}")
-            for rec in by_kind.get("partition_output", []):
-                part = int(rec.body["part"])
-                table = TranslationTable.from_lists(
-                    pub["translations"][str(part)], lam)
-                label = bytes.fromhex(rec.body["label"])
+            outputs = by_kind.get("partition_output", [])
+            translations = read(pub, "translations") if outputs else {}
+            for rec in outputs:
+                part = read(rec, "part")
+                # a part with no translation has no entry for its label
+                table = TranslationTable(translations.get(part, ()), lam)
                 try:
-                    table.apply(label)
+                    table.apply(read(rec, "label"))
                     ok = True
                 except UnknownLabel:
                     ok = False
                 _check(report, f"partition_label_valid_{part}", ok)
             for rec in by_kind.get("aggregate_output", []):
-                decode = DecodeInfo.from_lists(pub["decode"], lam)
+                decode = DecodeInfo(read(pub, "decode"), lam)
                 try:
-                    y = decode_output(decode, bytes.fromhex(rec.body["label"]))
-                    ok = y == int(rec.body["y"])
+                    ok = decode_output(decode, read(rec, "label")) == read(rec, "y")
                 except UnknownLabel:
                     ok = False
                 _check(report, "aggregate_decode", ok)
                 if report.verdict in ("accept", "reject"):
                     _check(report, "verdict_matches_aggregator",
-                           (report.verdict == "accept") == bool(int(rec.body["accept"])))
-    except (KeyError, TypeError, ValueError, InvalidGroupElement) as exc:
-        _check(report, "well_formed", False,
-               f"{rec.kind} record {rec.seq}: {type(exc).__name__}: {exc}")
+                           (report.verdict == "accept") == bool(read(rec, "accept")))
+    except MalformedRecord as exc:
+        _check(report, "well_formed", False, str(exc))
     return report

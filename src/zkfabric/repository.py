@@ -150,14 +150,12 @@ class Repository:
         self.append(record)
         return record
 
-    def fetch(self, session: str | None = None, kind: str | None = None,
-              since: int = 0) -> list[RepositoryRecord]:
-        """Records in seq order, matching `session` and `kind` where given,
-        with seq >= `since`."""
-        records = (self._records[since:] if session is None
+    def fetch(self, session: str | None = None,
+              kind: str | None = None) -> list[RepositoryRecord]:
+        """Records in seq order, matching `session` and `kind` where given."""
+        records = (self._records if session is None
                    else self._by_session.get(session, []))
-        return [r for r in records
-                if r.seq >= since and (kind is None or r.kind == kind)]
+        return [r for r in records if kind is None or r.kind == kind]
 
     def __len__(self) -> int:
         return len(self._records)

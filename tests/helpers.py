@@ -67,14 +67,12 @@ def all_assignments(n):
         yield tuple(idx >> (n - 1 - j) & 1 for j in range(n))
 
 
-def scan_fetch(records, session=None, kind=None, since=0):
+def scan_fetch(records, session=None, kind=None):
     """Linear-scan oracle for Repository.fetch: every record of the board in
-    seq order, kept when it matches `session` and `kind` (None matches all)
-    and its seq is at least `since`."""
+    seq order, kept when it matches `session` and `kind` (None matches all)."""
     return [r for r in records
             if (session is None or r.session == session)
-            and (kind is None or r.kind == kind)
-            and r.seq >= since]
+            and (kind is None or r.kind == kind)]
 
 
 def edited_golden(kind, field, value):

@@ -20,9 +20,16 @@ from zkfabric.garble import (
     sample_label_pair,
 )
 from zkfabric.hashing import LABEL_BYTES, HashDrbg, digest_hex
+from zkfabric.protocol import read
+from zkfabric.repository import make_record
 from zkfabric.syntax import And, Not, Var, Xor
 
 CHI_SQUARE_DF3_P01 = 11.345
+
+
+def read_back(name, value):
+    """`value` as the board's reader for body field `name` decodes it."""
+    return read(make_record(0, "s", "prover", "aggregate_publish", {name: value}), name)
 
 
 def single_gate(op):
@@ -183,7 +190,7 @@ def test_decode_map_width_follows_digest_bits():
         for entry_hex, bit in decode.entries:
             assert len(entry_hex) == width
             assert bit in (0, 1)
-    assert DecodeInfo.from_lists(decode.to_lists(), 256) == decode
+    assert DecodeInfo(read_back("decode", decode.to_lists()), 256) == decode
 
 
 def test_row_position_is_uniform_over_garblings():
@@ -217,7 +224,7 @@ def test_translation_rejects_unknown_and_corrupt():
     with pytest.raises(UnknownLabel):
         table.apply(drbg.random_bytes(LABEL_BYTES))
     key0 = table.entries[0][0]
-    bad_value = "00" * (LABEL_BYTES + 8)
+    bad_value = bytes(LABEL_BYTES + 8)
     corrupt = TranslationTable(((key0, bad_value), table.entries[1]),
                                table.digest_bits)
     victim = up[0] if key0 == digest_hex(up[0], 256) else up[1]
@@ -228,8 +235,8 @@ def test_translation_rejects_unknown_and_corrupt():
 def test_translation_serialization_round_trip():
     drbg = HashDrbg(57, context="xlate3")
     table = build_translation(sample_label_pair(drbg), sample_label_pair(drbg))
-    again = TranslationTable.from_lists(table.to_lists(), table.digest_bits)
-    assert again == table
+    entries = read_back("translations", {"1": table.to_lists()})[1]
+    assert TranslationTable(entries, table.digest_bits) == table
 
 
 def test_translation_chains_garbled_evaluations():

@@ -22,6 +22,7 @@ from zkfabric.protocol import (
     VerifierEngine,
     ProverEngine,
     parse_bits,
+    read,
     replay_board,
     run_session,
     run_simulation,
@@ -116,16 +117,7 @@ def test_session_params_validation():
     with pytest.raises(ValueError):
         SessionParams("s", 1, lambda_h=200)
     with pytest.raises(ValueError):
-        SessionParams("s", 1, label_bits=64)
-    with pytest.raises(ValueError):
         SessionParams("s", 2)
-
-
-def test_session_params_verifier_seeds():
-    params = SessionParams("s", 1, verifier_seeds=(11, 22))
-    assert params.verifier_seed(1) == 11
-    assert params.verifier_seed(2) == 22
-    assert params.verifier_seed(3) == SessionParams("s", 1).verifier_seed(3)
 
 
 def test_session_params_from_master():
@@ -296,7 +288,7 @@ def test_duplicate_commit_first_one_wins():
     class DoubleCommitVerifier(VerifierEngine):
         def _commit(self):
             out = super()._commit()
-            lam = int(self._session_init()["lambda_h"])
+            lam = read(self._session_init(), "lambda_h")
             self._post("mask_commit", {
                 "part": self.index,
                 "commitment": commit_bit(1 - self.r, self.salt, lam),
@@ -332,6 +324,54 @@ def test_malformed_record_aborts_instead_of_raising(role, kind, field, value):
     report = replay_board(transcript.records)[0]
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["well_formed"]
+
+
+@pytest.mark.parametrize("kind, field, reader", [
+    ("prover_labels", "labels", "verifier-1"),
+    ("aggregate_publish", "input_labels", "aggregator"),
+])
+def test_wrong_typed_body_aborts_instead_of_raising(kind, field, reader):
+    class ListingProver(ProverEngine):
+        def _post(self, posted_kind, body):
+            if posted_kind == kind:
+                body = {**body, field: list(body[field].values())}
+            return super()._post(posted_kind, body)
+
+    params = SessionParams.from_master(10, 1, group="toy23")
+    transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
+                             engine_overrides={"prover": ListingProver})
+    assert (transcript.verdict, transcript.reason) == ("abort", "MalformedRecord")
+    verdicts = [r for r in transcript.records if r.kind == "final_verdict"]
+    assert [r.author for r in verdicts] == [reader]
+
+
+def test_prover_garbles_only_after_every_part_committed():
+    """A commit for a part that does not exist must not stand in for a
+    verifier that commits late."""
+    class ExtraCommitVerifier(VerifierEngine):
+        def _commit(self):
+            out = super()._commit()
+            self._post("mask_commit", {"part": 3, "commitment": "00"})
+            return out
+
+    class LateVerifier(VerifierEngine):
+        held = False
+
+        def _commit(self):
+            if not self.held:
+                self.held = True
+                return None
+            return super()._commit()
+
+    params = SessionParams.from_master(7, 1, group="toy23")
+    transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
+                             engine_overrides={"verifier-1": ExtraCommitVerifier,
+                                               "verifier-2": LateVerifier})
+    assert transcript.verdict == "accept"
+    seqs = {(r.kind, r.body.get("part")): r.seq for r in transcript.records}
+    last_commit = max(seqs["mask_commit", 1], seqs["mask_commit", 2])
+    assert all(r.seq > last_commit for r in transcript.records
+               if r.kind == "garbled_partition")
 
 
 def test_stalled_session_raises_instead_of_spinning():
@@ -403,18 +443,13 @@ def test_replay_catches_stale_digest():
 
 @pytest.mark.parametrize("salt", ["zz", 12])
 def test_replay_reports_non_hex_salt(salt):
-    records = list(Repository(GOLDEN_BOARD))
-    i, target = next((i, r) for i, r in enumerate(records)
-                     if r.kind == "mask_reveal")
-    body = dict(target.body, salt=salt)
-    records[i] = make_record(target.seq, target.session, target.author,
-                             target.kind, body)
+    records, target = edited_golden("mask_reveal", "salt", salt)
     report = replay_board(records)[0]
     assert not report.ok
-    part = target.body["part"]
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
-    assert failed == [(f"commit_opens_part_{part}",
-                       f"mask_reveal.salt {salt!r} is not hex")]
+    assert [name for name, _ in failed] == ["well_formed"]
+    exc = "ValueError" if isinstance(salt, str) else "TypeError"
+    assert failed[0][1].startswith(f"mask_reveal record {target.seq}: {exc}: salt: ")
 
 
 @pytest.mark.parametrize("kind, field, value, exc", [
@@ -428,6 +463,8 @@ def test_replay_reports_non_hex_salt(salt):
     ("garbled_partition", "ot_c", "zz", "ValueError"),
     ("session_init", "group", "nope", "InvalidGroupElement"),
     ("session_init", "n_parts", "two", "ValueError"),
+    ("aggregate_publish", "translations", [], "AttributeError"),
+    ("aggregate_publish", "decode", {"a": 1}, "ValueError"),
 ])
 def test_replay_reports_malformed_field(kind, field, value, exc):
     records, target = edited_golden(kind, field, value)
@@ -435,7 +472,32 @@ def test_replay_reports_malformed_field(kind, field, value, exc):
     assert not report.ok
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert [name for name, _ in failed] == ["well_formed"]
-    assert failed[0][1].startswith(f"{kind} record {target.seq}: {exc}: ")
+    assert failed[0][1].startswith(f"{kind} record {target.seq}: {exc}: {field}: ")
+
+
+def test_every_golden_body_field_has_a_reader():
+    for rec in Repository(GOLDEN_BOARD):
+        for name in rec.body:
+            read(rec, name)
+
+
+# one of each JSON type, and values that are wrong for most fields
+WRONG_VALUES = (None, [], {}, 0, 7, -1, True, 1.5, "zz", "", "00",
+                [1], [[]], {"a": 1}, {"1": "zz"})
+
+
+def test_replay_never_raises_on_a_wrong_typed_field():
+    records = list(Repository(GOLDEN_BOARD))
+    edits = 0
+    for i, target in enumerate(records):
+        for name in target.body:
+            for value in WRONG_VALUES:
+                edited = list(records)
+                edited[i] = make_record(target.seq, target.session, target.author,
+                                        target.kind, {**target.body, name: value})
+                assert len(replay_board(edited)) == 1
+                edits += 1
+    assert edits == 1170
 
 
 def test_replay_flags_n_parts_that_disagrees_with_the_parts():

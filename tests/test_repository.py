@@ -42,7 +42,6 @@ def test_fetch_filters():
     assert [r.kind for r in repo.fetch(kind="session_init")] == [
         "session_init", "session_init"]
     assert repo.fetch(session="s1", kind="mask_commit")[0].author == "verifier-1"
-    assert repo.fetch(since=2) == repo.fetch()[2:]
     assert Repository().fetch() == []
 
 
@@ -179,9 +178,7 @@ def assert_fetch_matches_scan(repo):
     records = list(repo)
     for session in ("s1", "s2", "s3", "absent", None):
         for kind in (*BODY_KINDS, "session_init", "aggregate_publish", None):
-            for since in range(len(records) + 2):
-                assert repo.fetch(session, kind, since) == scan_fetch(
-                    records, session, kind, since)
+            assert repo.fetch(session, kind) == scan_fetch(records, session, kind)
 
 
 @settings(max_examples=60, deadline=None)
