@@ -8,10 +8,21 @@ under both operand labels with an all-zero tail for authentication.
 The evaluator holds exactly one label per wire and decrypts exactly one
 row per gate.
 
-Decode information maps label hashes (never labels) to output bits, and
-translation tables re-encrypt the labels of one circuit's output wire
-into the input labels of another, letting garbled evaluations chain
-without anyone touching plaintext bits.
+Decode information maps label hashes (never labels) to output bits.
+
+Garbled evaluations chain by sharing labels: garble_full takes the label
+pairs of a circuit's first input wires from the caller, so one circuit's
+output pair is the next one's input pair.  This reveals nothing that a
+public re-keying table (output label -> fresh input label) would hide:
+whoever holds the output label could open such a table, so the fresh
+label would be a public function of it; and the label not taken is,
+as before, only ever a key that seals rows.  Pads never repeat, since each
+is keyed by the operand labels of one gate of one circuit.
+
+A check that a label belongs to its pair is open_gate on a gate the pair
+feeds: a label outside the pair authenticates only if a 64-bit zero tail
+survives decryption, with probability 2**-64 per try, the bound every
+garbled evaluation relies on (DecryptFailure).
 """
 
 from __future__ import annotations
@@ -20,15 +31,7 @@ from dataclasses import dataclass
 
 from .circuit import LayeredCircuit
 from .errors import ArityMismatch, DecryptFailure, UnknownLabel
-from .hashing import (
-    LABEL_BYTES,
-    HashDrbg,
-    digest_hex,
-    dual_dec,
-    dual_enc,
-    translate_dec,
-    translate_enc,
-)
+from .hashing import LABEL_BYTES, HashDrbg, digest_hex, dual_dec, dual_enc
 
 _OPS = {
     "AND": lambda a, b: a & b,
@@ -103,8 +106,12 @@ class GarblingResult:
     wire_labels: tuple[tuple[bytes, bytes], ...]
 
 
-def garble_full(c: LayeredCircuit, drbg: HashDrbg, digest_bits: int = 256) -> GarblingResult:
-    labels = tuple(sample_label_pair(drbg) for _ in range(c.n_wires))
+def garble_full(c: LayeredCircuit, drbg: HashDrbg, digest_bits: int = 256,
+                inputs: tuple[tuple[bytes, bytes], ...] = ()) -> GarblingResult:
+    """Garble c; wire w < len(inputs) gets the pair inputs[w], and only the
+    other wires get fresh pairs from drbg."""
+    labels = tuple(inputs) + tuple(
+        sample_label_pair(drbg) for _ in range(c.n_wires - len(inputs)))
     tables = []
     for idx, g in enumerate(c.gates):
         rows: list[bytes | None] = [None] * 4
@@ -141,6 +148,14 @@ def encode_input(encode: EncodeInfo, bits) -> tuple[bytes, ...]:
     return tuple(encode.label_for(w, v) for w, v in enumerate(values))
 
 
+def open_gate(gate: GarbledGate, idx: int, la: bytes, lb: bytes) -> bytes | None:
+    """The label that operand labels la (left) and lb (right) open in gate
+    number idx, or None when the row their colours select does not
+    authenticate."""
+    row = (label_color(la) << 1) | label_color(lb)
+    return dual_dec(la, lb, idx, row, gate.rows[row])
+
+
 def evaluate_garbled(gc: GarbledCircuit, inputs: dict[int, bytes],
                      with_trace: bool = False):
     """Evaluate on one label per input wire; returns the output label.
@@ -155,11 +170,9 @@ def evaluate_garbled(gc: GarbledCircuit, inputs: dict[int, bytes],
     have[c.const0] = gc.const_labels[0]
     have[c.const1] = gc.const_labels[1]
     for idx, g in enumerate(c.gates):
-        la, lb = have[g.left], have[g.right]
-        row = (label_color(la) << 1) | label_color(lb)
-        out = dual_dec(la, lb, idx, row, gc.tables[idx].rows[row])
+        out = open_gate(gc.tables[idx], idx, have[g.left], have[g.right])
         if out is None:
-            raise DecryptFailure(f"gate {idx} row {row} failed to authenticate")
+            raise DecryptFailure(f"gate {idx} failed to authenticate")
         have[g.out] = out
     if with_trace:
         return have[c.output], have
@@ -172,41 +185,3 @@ def decode_output(decode: DecodeInfo, label: bytes) -> int:
         if entry_hex == h:
             return bit
     raise UnknownLabel("label does not match the output map")
-
-
-@dataclass(frozen=True)
-class TranslationTable:
-    """Re-keys one wire's labels into another's, keyed by label hash.
-
-    Entries are sorted by key hash, so their order says nothing about
-    which plaintext bit each one serves.
-    """
-
-    entries: tuple[tuple[str, bytes], ...]
-    digest_bits: int
-
-    def apply(self, label: bytes) -> bytes:
-        h = digest_hex(label, self.digest_bits)
-        for key, enc in self.entries:
-            if key == h:
-                down = translate_dec(label, enc)
-                if down is None:
-                    raise UnknownLabel("translation entry failed to authenticate")
-                return down
-        raise UnknownLabel("label has no translation entry")
-
-    def to_lists(self) -> list[list[str]]:
-        return [[k, e.hex()] for k, e in self.entries]
-
-
-def build_translation(
-    up_pair: tuple[bytes, bytes],
-    down_pair: tuple[bytes, bytes],
-    digest_bits: int = 256,
-) -> TranslationTable:
-    entries = sorted(
-        (digest_hex(up_pair[b], digest_bits),
-         translate_enc(up_pair[b], down_pair[b]))
-        for b in (0, 1)
-    )
-    return TranslationTable(tuple(entries), digest_bits)

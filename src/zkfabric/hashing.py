@@ -13,10 +13,6 @@ LABEL_BYTES = 16          # wire labels are 128 bits, colour bit last
 PAD_BYTES = 8             # zero padding appended before table encryption
 CIPHER_BYTES = LABEL_BYTES + PAD_BYTES
 
-# reserved second key / gate id marking translation-table entries
-TRANSLATE_KEY = b"\xff" * LABEL_BYTES
-TRANSLATE_GATE = 0xFFFFFFFF
-
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
@@ -99,14 +95,6 @@ def dual_dec(key_a: bytes, key_b: bytes, gate_id: int, row: int, cipher: bytes) 
     if plain[LABEL_BYTES:] != b"\x00" * PAD_BYTES:
         return None
     return plain[:LABEL_BYTES]
-
-
-def translate_enc(up_label: bytes, down_label: bytes) -> bytes:
-    return dual_enc(up_label, TRANSLATE_KEY, TRANSLATE_GATE, 0, down_label)
-
-
-def translate_dec(up_label: bytes, cipher: bytes) -> bytes | None:
-    return dual_dec(up_label, TRANSLATE_KEY, TRANSLATE_GATE, 0, cipher)
 
 
 def mask_stream(secret: bytes, n: int) -> bytes:

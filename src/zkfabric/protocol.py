@@ -9,9 +9,9 @@ Roles and their record traffic:
   verifier i  commits to a random mask bit, receives its mask-wire label
               by transfer, evaluates partition i, posts the masked output
               label, then opens its commitment.
-  aggregator  receives the label for its own random blind bit, translates
-              the posted partition outputs into aggregate-circuit labels,
-              evaluates, decodes, and posts its accept/reject view.
+  aggregator  receives the label for its own random blind bit, evaluates
+              the aggregate circuit on the posted partition output labels
+              as they are, decodes, and posts its accept/reject view.
 
 The prover accepts only when its own check (claimed value against the
 witness evaluation) agrees with the aggregator's posted view; any
@@ -60,11 +60,10 @@ from .garble import (
     GarbledCircuit,
     GarbledGate,
     GarblingResult,
-    TranslationTable,
-    build_translation,
     decode_output,
     evaluate_garbled,
     garble_full,
+    open_gate,
 )
 from .hashing import LABEL_BYTES, HashDrbg, commit_bit, sha256
 from .ot import (
@@ -117,8 +116,19 @@ def _element(value) -> int:
     return int(value, 16)
 
 
+def _sized(n: int, value):
+    """`value`, if it has length n."""
+    if len(value) != n:
+        raise ValueError(f"length {len(value)}, not {n}")
+    return value
+
+
+def _label(value) -> bytes:
+    return _sized(LABEL_BYTES, bytes.fromhex(value))
+
+
 def _label_map(value) -> dict[int, bytes]:
-    return {int(k): bytes.fromhex(v) for k, v in value.items()}
+    return {int(k): _label(v) for k, v in value.items()}
 
 
 FIELDS = {
@@ -131,19 +141,16 @@ FIELDS = {
     "group": group_by_name, "session_id": _text, "commitment": _text,
     "sop": _text, "verdict": _text, "reason": _text,
     "operators": _each(_text), "netlist": _each(_text),
-    "label": bytes.fromhex, "salt": bytes.fromhex,
-    "clause_digests": _each(bytes.fromhex), "const_labels": _each(bytes.fromhex),
+    "label": _label, "salt": bytes.fromhex,
+    "clause_digests": _each(bytes.fromhex), "const_labels": _each(_label),
     "y0": _element, "y1": _element, "ot_c": _element,
     # a transfer half: (sender element, masked label)
     "c0": lambda v: (_element(v[0]), bytes.fromhex(v[1])),
     "c1": lambda v: (_element(v[0]), bytes.fromhex(v[1])),
     "labels": _label_map, "input_labels": _label_map,
     "circuit": LayeredCircuit.from_dict,
-    "tables": lambda v: tuple(GarbledGate(tuple(map(bytes.fromhex, rows))) for rows in v),
-    # {part: TranslationTable entries}; {label hash: bit} as DecodeInfo entries
-    "translations": lambda v: {
-        int(part): tuple((_text(key), bytes.fromhex(enc)) for key, enc in entries)
-        for part, entries in v.items()},
+    "tables": _each(lambda rows: GarbledGate(_sized(4, tuple(map(bytes.fromhex, rows))))),
+    # {label hash: bit} as DecodeInfo entries
     "decode": lambda v: tuple((_text(h), int(bit)) for h, bit in v),
 }
 
@@ -269,8 +276,10 @@ def _tables_to_body(res: GarblingResult) -> dict:
 
 
 def _garbled(rec: RepositoryRecord, digest_bits: int) -> GarbledCircuit:
-    return GarbledCircuit(read(rec, "circuit"), read(rec, "tables"),
-                          read(rec, "const_labels"), digest_bits)
+    """The garbled circuit of rec: one table per gate, two constant labels."""
+    circuit = read(rec, "circuit")
+    return GarbledCircuit(circuit, _sized(len(circuit.gates), read(rec, "tables")),
+                          _sized(2, read(rec, "const_labels")), digest_bits)
 
 
 class ProverEngine(_Engine):
@@ -393,14 +402,12 @@ class ProverEngine(_Engine):
                 raise PartitionOutputInvalid(f"part {i} posted a label outside its pair")
             self.masks.append(r_bit)
 
+        # the aggregate's first inputs (agg.part_inputs) take the parts'
+        # output pairs, so its evaluator reads the posted outputs as they are
         agg = self.pset.aggregate
-        self.agg_result = garble_full(agg.circuit, self.drbg, lam)
-        translations = {}
-        for i in range(1, self.m1 + 1):
-            up = self.part_results[i - 1].wire_labels[
-                self.pset.parts[i - 1].circuit.output]
-            down = self.agg_result.wire_labels[agg.part_inputs[i - 1]]
-            translations[str(i)] = build_translation(up, down, lam).to_lists()
+        part_outputs = tuple(res.wire_labels[part.circuit.output]
+                             for part, res in zip(self.pset.parts, self.part_results))
+        self.agg_result = garble_full(agg.circuit, self.drbg, lam, part_outputs)
         input_labels = {}
         for local, r_bit in zip(agg.mask_inputs, self.masks):
             input_labels[str(local)] = self.agg_result.encode.label_for(local, r_bit).hex()
@@ -415,7 +422,6 @@ class ProverEngine(_Engine):
             "passthrough_parents": list(agg.passthrough_parents),
             "mask_inputs": list(agg.mask_inputs),
             "agg_input": agg.agg_input,
-            "translations": translations,
             "decode": self.agg_result.decode.to_lists(),
             "input_labels": input_labels,
             "ot_c": self._elem(c),
@@ -531,8 +537,7 @@ class AggregatorEngine(_Engine):
 
         outputs = {read(r, "part"): read(r, "label")
                    for r in self._fetch("partition_output")}
-        translations = read(pub, "translations")
-        inputs = {local: TranslationTable(translations[i], lam).apply(outputs[i])
+        inputs = {local: outputs[i]
                   for i, local in enumerate(read(pub, "part_inputs"), start=1)}
         inputs.update(read(pub, "input_labels"))
         inputs[read(pub, "agg_input")] = xm_label
@@ -680,7 +685,8 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
             found = []
             for kind in ("garbled_partition", "mask_commit", "mask_reveal"):
                 parts = sorted(read(rec, "part") for rec in by_kind.get(kind, []))
-                if parts != list(range(1, n_parts + 1)):
+                # lengths first: n_parts is as large as the poster likes
+                if len(parts) != n_parts or parts != list(range(1, n_parts + 1)):
                     found.append(f"{kind} parts {parts}")
             _check(report, "parts_match_init", not found,
                    f"n_parts {n_parts}: " + "; ".join(found) if found else "")
@@ -714,17 +720,17 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
                 x1m = read(pub, "x1m")
                 _check(report, "x1m_matches_reveals", x1m == masks,
                        "" if x1m == masks else f"x1m {x1m}, revealed masks XOR to {masks}")
-            outputs = by_kind.get("partition_output", [])
-            translations = read(pub, "translations") if outputs else {}
-            for rec in outputs:
-                part = read(rec, "part")
-                # a part with no translation has no entry for its label
-                table = TranslationTable(translations.get(part, ()), lam)
-                try:
-                    table.apply(read(rec, "label"))
-                    ok = True
-                except UnknownLabel:
-                    ok = False
+            tables, mask_inputs = read(pub, "tables"), read(pub, "mask_inputs")
+            input_labels = read(pub, "input_labels")
+            for rec in by_kind.get("partition_output", []):
+                # aggregate gate part-1 unmasks part `part`: its left operand
+                # is the part's output, its right the published mask label
+                part, label = read(rec, "part"), read(rec, "label")
+                ok = 1 <= part <= min(len(tables), len(mask_inputs))
+                if ok:
+                    mask_label = input_labels.get(mask_inputs[part - 1])
+                    ok = (mask_label is not None and open_gate(
+                        tables[part - 1], part - 1, label, mask_label) is not None)
                 _check(report, f"partition_label_valid_{part}", ok)
             for rec in by_kind.get("aggregate_output", []):
                 decode = DecodeInfo(read(pub, "decode"), lam)

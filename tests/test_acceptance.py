@@ -9,9 +9,8 @@ prints a one-line summary that `pytest -s` makes visible.
 import json
 import random
 import time
-from pathlib import Path
 
-from helpers import (CAR_STATEMENT, CAR_TABLE, all_assignments,
+from helpers import (CAR_STATEMENT, CAR_TABLE, GOLDEN_BOARD, all_assignments,
                      audited_session, audited_simulation,
                      exhaustive_minimum_size, random_circuit,
                      random_partitionable_circuit, random_statement)
@@ -26,8 +25,6 @@ from zkfabric.ot import (group_by_name, ot_receiver_choose,
 from zkfabric.protocol import SessionParams, replay_board, run_simulation
 from zkfabric.repository import Repository, encode_record
 from zkfabric.syntax import TruthTable, extract, minimize
-
-GOLDEN_BOARD = Path(__file__).parent / "golden" / "car_toy23.board"
 
 
 def test_criterion_1_garbled_equals_plain():

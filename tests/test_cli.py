@@ -165,9 +165,9 @@ def test_modp2048_board_bytes(capsys, tmp_path):
                          "modp2048", "--seed", "7", "--board", str(board))
     assert code == 0
     raw = board.read_bytes()
-    assert len(raw) == 10645
+    assert len(raw) == 10382
     assert hashlib.sha256(raw).hexdigest() == (
-        "6ebc56f77368f0036462795550323fc97477c372523d1e83f0ad8335a6e86373")
+        "ea858c30895b01f14a5211091340522c8a8de21265ed2f5194cc979056516296")
 
 
 def test_board_via_environment(capsys, tmp_path, monkeypatch):

@@ -9,17 +9,16 @@ from zkfabric.garble import (
     DecodeInfo,
     GarbledCircuit,
     GarbledGate,
-    TranslationTable,
-    build_translation,
     decode_output,
     encode_input,
     evaluate_garbled,
     garble_circuit,
     garble_full,
     label_color,
+    open_gate,
     sample_label_pair,
 )
-from zkfabric.hashing import LABEL_BYTES, HashDrbg, digest_hex
+from zkfabric.hashing import LABEL_BYTES, HashDrbg
 from zkfabric.protocol import read
 from zkfabric.repository import make_record
 from zkfabric.syntax import And, Not, Var, Xor
@@ -207,48 +206,29 @@ def test_row_position_is_uniform_over_garblings():
     assert chi2 < CHI_SQUARE_DF3_P01
 
 
-def test_translation_moves_labels_between_circuits():
-    drbg = HashDrbg(55, context="xlate")
-    up = sample_label_pair(drbg)
-    down = sample_label_pair(drbg)
-    table = build_translation(up, down)
-    assert table.apply(up[0]) == down[0]
-    assert table.apply(up[1]) == down[1]
-
-
-def test_translation_rejects_unknown_and_corrupt():
-    drbg = HashDrbg(56, context="xlate2")
-    up = sample_label_pair(drbg)
-    down = sample_label_pair(drbg)
-    table = build_translation(up, down)
-    with pytest.raises(UnknownLabel):
-        table.apply(drbg.random_bytes(LABEL_BYTES))
-    key0 = table.entries[0][0]
-    bad_value = bytes(LABEL_BYTES + 8)
-    corrupt = TranslationTable(((key0, bad_value), table.entries[1]),
-                               table.digest_bits)
-    victim = up[0] if key0 == digest_hex(up[0], 256) else up[1]
-    with pytest.raises(UnknownLabel):
-        corrupt.apply(victim)
-
-
-def test_translation_serialization_round_trip():
-    drbg = HashDrbg(57, context="xlate3")
-    table = build_translation(sample_label_pair(drbg), sample_label_pair(drbg))
-    entries = read_back("translations", {"1": table.to_lists()})[1]
-    assert TranslationTable(entries, table.digest_bits) == table
-
-
 def test_translation_chains_garbled_evaluations():
-    """Feed one garbled circuit's output into another via translation."""
+    """Feed one garbled circuit's output into another by garbling the second
+    on the first one's output label pair."""
     up_c = single_gate("XOR")
     down_c = compile_expression(Not(Var(0)))
     up = garble_full(up_c, HashDrbg(1, context="up"))
-    down = garble_full(down_c, HashDrbg(2, context="down"))
-    table = build_translation(up.wire_labels[up_c.output],
-                              down.wire_labels[0])
+    down = garble_full(down_c, HashDrbg(2, context="down"),
+                       inputs=(up.wire_labels[up_c.output],))
+    assert down.wire_labels[0] == up.wire_labels[up_c.output]
     for bits in all_assignments(2):
         labels = encode_input(up.encode, bits)
         mid = evaluate_garbled(up.garbled, dict(enumerate(labels)))
-        out = evaluate_garbled(down.garbled, {0: table.apply(mid)})
+        out = evaluate_garbled(down.garbled, {0: mid})
         assert decode_output(down.decode, out) == 1 - (bits[0] ^ bits[1])
+
+
+def test_open_gate_opens_only_with_the_pair_labels():
+    c = single_gate("AND")
+    res = garble_full(c, HashDrbg(4, context="open"))
+    gate = res.garbled.tables[0]
+    left, right, out = (res.wire_labels[w] for w in (0, 1, c.output))
+    for a, b in all_assignments(2):
+        assert open_gate(gate, 0, left[a], right[b]) == out[a & b]
+    forged = HashDrbg(5).random_bytes(LABEL_BYTES)
+    assert open_gate(gate, 0, forged, right[0]) is None
+    assert open_gate(gate, 1, left[0], right[0]) is None

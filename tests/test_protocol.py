@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -212,7 +213,8 @@ def test_audit_collects_inactive_labels():
     assert audit.witness == (1, 1, 1)
     assert audit.f_value == 1
     assert len(audit.inactive_labels) == 25
-    assert len(set(audit.inactive_labels)) == 25
+    # the aggregate's part-input wires share their parts' output labels
+    assert len(set(audit.inactive_labels)) == 23
 
 
 def test_commit_reveal_binding_flipped_mask_aborts():
@@ -345,6 +347,42 @@ def test_wrong_typed_body_aborts_instead_of_raising(kind, field, reader):
     assert [r.author for r in verdicts] == [reader]
 
 
+def _shorter_tables(body):
+    return {**body, "tables": body["tables"][:-1]}
+
+
+def _three_row_gate(body):
+    return {**body, "tables": [body["tables"][0][:3]] + body["tables"][1:]}
+
+
+def _one_const_label(body):
+    return {**body, "const_labels": body["const_labels"][:1]}
+
+
+def _empty_labels(body):
+    return {**body, "labels": {wire: "" for wire in body["labels"]}}
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("garbled_partition", _shorter_tables),
+    ("garbled_partition", _three_row_gate),
+    ("garbled_partition", _one_const_label),
+    ("prover_labels", _empty_labels),
+])
+def test_wrong_shaped_garbled_data_aborts(kind, edit):
+    class MisshapingProver(ProverEngine):
+        def _post(self, posted_kind, body):
+            return super()._post(posted_kind,
+                                 edit(body) if posted_kind == kind else body)
+
+    params = SessionParams.from_master(10, 1, group="toy23")
+    transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
+                             engine_overrides={"prover": MisshapingProver})
+    assert (transcript.verdict, transcript.reason) == ("abort", "MalformedRecord")
+    verdicts = [r for r in transcript.records if r.kind == "final_verdict"]
+    assert [r.author for r in verdicts] == ["verifier-1"]
+
+
 def test_prover_garbles_only_after_every_part_committed():
     """A commit for a part that does not exist must not stand in for a
     verifier that commits late."""
@@ -463,7 +501,7 @@ def test_replay_reports_non_hex_salt(salt):
     ("garbled_partition", "ot_c", "zz", "ValueError"),
     ("session_init", "group", "nope", "InvalidGroupElement"),
     ("session_init", "n_parts", "two", "ValueError"),
-    ("aggregate_publish", "translations", [], "AttributeError"),
+    ("aggregate_publish", "tables", [["00"]], "ValueError"),
     ("aggregate_publish", "decode", {"a": 1}, "ValueError"),
 ])
 def test_replay_reports_malformed_field(kind, field, value, exc):
@@ -497,7 +535,7 @@ def test_replay_never_raises_on_a_wrong_typed_field():
                                         target.kind, {**target.body, name: value})
                 assert len(replay_board(edited)) == 1
                 edits += 1
-    assert edits == 1170
+    assert edits == 1155
 
 
 def test_replay_flags_n_parts_that_disagrees_with_the_parts():
@@ -508,6 +546,32 @@ def test_replay_flags_n_parts_that_disagrees_with_the_parts():
     assert failed == [("parts_match_init",
                        "n_parts 5: garbled_partition parts [1, 2]; "
                        "mask_commit parts [1, 2]; mask_reveal parts [1, 2]")]
+
+
+def test_replay_bounds_parts_by_the_board_not_by_n_parts():
+    records, _ = edited_golden("session_init", "n_parts", 10**9)
+    t0 = time.perf_counter()
+    report = replay_board(records)[0]
+    assert time.perf_counter() - t0 < 1.0
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert failed == ["parts_match_init"]
+
+
+def test_replay_flags_a_partition_label_outside_its_pair():
+    records, target = edited_golden("partition_output", "label", "ab" * 16)
+    assert target.body["part"] == 1
+    report = replay_board(records)[0]
+    assert not report.ok
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert failed == ["partition_label_valid_1"]
+
+
+@pytest.mark.parametrize("part", [0, -1, 9])
+def test_replay_fails_a_partition_output_for_no_part(part):
+    records, _ = edited_golden("partition_output", "part", part)
+    report = replay_board(records)[0]
+    assert not report.ok
+    assert (f"partition_label_valid_{part}", False, "") in report.checks
 
 
 def test_replay_flags_x1m_that_disagrees_with_the_reveals():
