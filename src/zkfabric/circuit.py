@@ -78,15 +78,19 @@ class LayeredCircuit:
 
 
 def validate_layers(c: LayeredCircuit) -> None:
-    depth = {w: 0 for w in range(c.n_inputs + 2)}
+    # inputs and constants (the wires below n_inputs + 2) are layer 0 and
+    # are not stored, so a posted n_inputs costs nothing to check
+    base = c.n_inputs + 2
+    depth: dict[int, int] = {}
     for g in c.gates:
-        if g.left not in depth or g.right not in depth:
-            raise ValueError(f"gate at w{g.out} reads an undriven wire")
-        want = max(depth[g.left], depth[g.right]) + 1
+        try:
+            want = max(0 if 0 <= w < base else depth[w] for w in (g.left, g.right)) + 1
+        except KeyError:
+            raise ValueError(f"gate at w{g.out} reads an undriven wire") from None
         if g.layer != want:
             raise ValueError(f"gate at w{g.out} claims layer {g.layer}, is {want}")
         depth[g.out] = want
-    if c.output not in depth:
+    if not (0 <= c.output < base or c.output in depth):
         raise ValueError("output wire is undriven")
 
 

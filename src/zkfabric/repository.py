@@ -6,7 +6,8 @@ session, author, kind, a kind-specific body (binary values as lowercase
 hex), and a digest over the canonical encoding of the other five fields.
 Decoding re-encodes and compares bytes, so any non-canonical or edited
 line is rejected outright.  Each digest covers only its own record; the
-records are not chained to one another.
+records are not chained to one another.  `publish` computes the digest of
+the record it makes, while `append` and loading a file verify it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ def make_record(seq: int, session: str, author: str, kind: str, body: dict) -> R
                             _digest_fields(seq, session, author, kind, body))
 
 
+def _verified(record: RepositoryRecord) -> RepositoryRecord:
+    if record.digest != _digest_fields(record.seq, record.session, record.author,
+                                       record.kind, record.body):
+        raise DigestMismatch(f"record {record.seq} digest does not verify")
+    return record
+
+
 def encode_record(record: RepositoryRecord) -> bytes:
     return _canonical({
         "seq": record.seq,
@@ -92,12 +100,13 @@ def decode_record(data: bytes) -> RepositoryRecord:
 class Repository:
     """In-memory board with an optional backing file (one record per line).
 
-    Records are indexed by session as they are ingested, whether appended or
-    loaded from the file, so a fetch reads only its session's records and
-    costs the same whatever the size of the board; only a fetch without a
-    session scans the whole board.  A session opens with exactly one
-    `session_init`: a second one, or any other record for a session the
-    board does not hold, is refused with `MalformedRecord`.
+    Every record is checked once, as it enters: its kind, its seq, its
+    digest (computed by `publish`, verified by `append` and the file load)
+    and its session's single opening `session_init` (a second one, or any
+    other record for a session the board does not hold, is refused with
+    `MalformedRecord`).  Records are then indexed by session, so a fetch
+    reads only its session's records and costs the same whatever the size
+    of the board; only a fetch without a session scans the whole board.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
@@ -113,18 +122,15 @@ class Repository:
         if raw and not raw.endswith(b"\n"):
             raise MalformedRecord("truncated final line")
         for line in raw.splitlines():
-            self._ingest(decode_record(line))
+            self._ingest(_verified(decode_record(line)))
 
     def _ingest(self, record: RepositoryRecord) -> None:
+        """Check the record's kind, seq and session opening, then index it."""
         if record.kind not in RECORD_KINDS:
             raise MalformedRecord(f"unknown record kind {record.kind!r}")
         if record.seq != len(self._records):
             raise StaleSequence(
                 f"record carries seq {record.seq}, board is at {len(self._records)}")
-        expected = _digest_fields(record.seq, record.session, record.author,
-                                  record.kind, record.body)
-        if record.digest != expected:
-            raise DigestMismatch(f"record {record.seq} digest does not verify")
         known = record.session in self._by_session
         if (record.kind == "session_init") == known:
             raise MalformedRecord(
@@ -137,18 +143,19 @@ class Repository:
     def next_seq(self) -> int:
         return len(self._records)
 
-    def append(self, record: RepositoryRecord) -> int:
+    def _add(self, record: RepositoryRecord) -> RepositoryRecord:
         self._ingest(record)
         if self.path is not None:
             with open(self.path, "ab") as fh:
                 fh.write(encode_record(record) + b"\n")
                 fh.flush()
-        return record.seq
+        return record
+
+    def append(self, record: RepositoryRecord) -> int:
+        return self._add(_verified(record)).seq
 
     def publish(self, session: str, author: str, kind: str, body: dict) -> RepositoryRecord:
-        record = make_record(self.next_seq, session, author, kind, body)
-        self.append(record)
-        return record
+        return self._add(make_record(self.next_seq, session, author, kind, body))
 
     def fetch(self, session: str | None = None,
               kind: str | None = None) -> list[RepositoryRecord]:

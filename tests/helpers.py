@@ -75,15 +75,24 @@ def scan_fetch(records, session=None, kind=None):
             and (kind is None or r.kind == kind)]
 
 
+def board_of(records) -> Repository:
+    """A fresh in-memory board holding `records`, each appended (and so
+    checked) in turn: what replay_board audits."""
+    board = Repository()
+    for rec in records:
+        board.append(rec)
+    return board
+
+
 def edited_golden(kind, field, value):
-    """The golden board's records with one field of the first `kind`
-    record set to `value` and that record's digest recomputed, so only
-    replay's reading of the field can notice the edit."""
+    """The golden board with one field of the first `kind` record set to
+    `value` and that record's digest recomputed, so only replay's reading
+    of the field can notice the edit."""
     records = list(Repository(GOLDEN_BOARD))
     i, target = next((i, r) for i, r in enumerate(records) if r.kind == kind)
     records[i] = make_record(target.seq, target.session, target.author,
                              target.kind, {**target.body, field: value})
-    return records, target
+    return board_of(records), target
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -162,6 +163,20 @@ def test_from_dict_rejects_bad_gates():
     data["gates"][0][1] = 99
     with pytest.raises(ValueError):
         LayeredCircuit.from_dict(data)
+
+
+def test_from_dict_does_not_allocate_per_stated_input():
+    """n_inputs is whatever a poster writes, so reading a circuit that
+    states a million inputs must cost what its gates cost."""
+    data = {"n_inputs": 10**6, "output": 10**6 + 2, "gates": [["AND", 0, 1, 1]]}
+    tracemalloc.start()
+    try:
+        c = LayeredCircuit.from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.n_inputs == 10**6
+    assert peak < 100_000
 
 
 def test_pad_inputs_even_is_identity():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import CAR_STATEMENT, edited_golden
+from helpers import CAR_STATEMENT, GOLDEN_BOARD, edited_golden
 from zkfabric.cli import main
 from zkfabric.repository import decode_record, encode_record
 
@@ -227,7 +227,6 @@ def test_verify_transcript_verbose(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify-transcript", str(board),
                            "--verbose")
     assert code == 0
-    assert "pass record_digests" in out
     assert "pass aggregate_decode" in out
 
 
@@ -273,9 +272,23 @@ def test_second_session_init_for_same_session_refused(capsys, tmp_path):
 
 def test_verify_transcript_reports_malformed_field(capsys, tmp_path):
     board = tmp_path / "board.jsonl"
-    records, _ = edited_golden("ot_choose", "y0", "zz")
-    board.write_bytes(b"".join(encode_record(r) + b"\n" for r in records))
+    edited, _ = edited_golden("ot_choose", "y0", "zz")
+    board.write_bytes(b"".join(encode_record(r) + b"\n" for r in edited))
     code, out, err = run_cli(capsys, "verify-transcript", str(board))
     assert code == 1
     assert "  FAIL well_formed ot_choose record " in out
     assert "Traceback" not in out + err
+
+
+def test_verify_transcript_refuses_a_line_edited_under_its_old_digest(capsys, tmp_path):
+    """The board checks digests as it loads, so such a board is refused
+    before replay runs, naming the check and the record."""
+    lines = GOLDEN_BOARD.read_bytes().splitlines(keepends=True)
+    assert b'"kind":"mask_commit"' in lines[2]
+    lines[2] = lines[2].replace(b'"part":1', b'"part":2')
+    board = tmp_path / "board.jsonl"
+    board.write_bytes(b"".join(lines))
+    code, out, err = run_cli(capsys, "verify-transcript", str(board))
+    assert code == 2
+    assert out == ""
+    assert "error: DigestMismatch: record 2 digest does not verify" in err

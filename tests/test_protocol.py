@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import zkfabric.repository
 from helpers import (
     CAR_STATEMENT,
     CAR_TABLE,
@@ -11,11 +12,12 @@ from helpers import (
     all_assignments,
     audited_session,
     audited_simulation,
+    board_of,
     edited_golden,
     random_statement,
 )
 from zkfabric.circuit import compile_expression, evaluate_plain
-from zkfabric.errors import ArityMismatch, DepthZero
+from zkfabric.errors import ArityMismatch, DepthZero, DigestMismatch
 from zkfabric.hashing import HashDrbg, commit_bit
 from zkfabric.protocol import (
     AggregatorEngine,
@@ -323,7 +325,7 @@ def test_malformed_record_aborts_instead_of_raising(role, kind, field, value):
     assert transcript.reason == "MalformedRecord"
     verdicts = [r for r in transcript.records if r.kind == "final_verdict"]
     assert [r.author for r in verdicts] == ["prover"]
-    report = replay_board(transcript.records)[0]
+    report = replay_board(board_of(transcript.records))[0]
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["well_formed"]
 
@@ -412,6 +414,28 @@ def test_prover_garbles_only_after_every_part_committed():
                if r.kind == "garbled_partition")
 
 
+def test_duplicate_partition_output_first_one_wins():
+    """The prover and the aggregator read a part's first partition_output,
+    so a forged second one changes no verdict; replay still fails it."""
+    class DoublePostingVerifier(VerifierEngine):
+        def _post(self, kind, body):
+            rec = super()._post(kind, body)
+            if kind == "partition_output":
+                super()._post(kind, {**body, "label": "ab" * 16})
+            return rec
+
+    params = SessionParams.from_master(7, 1, group="toy23")
+    transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
+                             engine_overrides={"verifier-1": DoublePostingVerifier})
+    assert transcript.verdict == "accept"
+    outputs = [r for r in transcript.records
+               if r.kind == "partition_output" and r.body["part"] == 1]
+    assert outputs[1].body["label"] == "ab" * 16
+    report = replay_board(board_of(transcript.records))[0]
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert failed == ["partition_label_valid_1"]
+
+
 def test_stalled_session_raises_instead_of_spinning():
     class StallingVerifier(VerifierEngine):
         def step(self):
@@ -425,16 +449,17 @@ def test_stalled_session_raises_instead_of_spinning():
 
 def test_replay_validates_accept_board():
     transcript = car_run("111", 1, seed=21)
-    report = replay_board(transcript.records)[0]
+    report = replay_board(board_of(transcript.records))[0]
     assert report.verdict == "accept"
     assert report.ok
     names = [name for name, _, _ in report.checks]
-    for wanted in ("record_digests", "opens_with_init", "closes_with_verdict",
+    for wanted in ("closes_with_verdict",
                    "commit_opens_part_1", "commit_opens_part_2",
                    "ot_consistency_mask-1", "ot_consistency_mask-2",
                    "ot_consistency_xm", "partition_label_valid_1",
                    "partition_label_valid_2", "aggregate_decode",
-                   "verdict_matches_aggregator", "parts_match_init"):
+                   "verdict_matches_aggregator", "parts_match_init",
+                   "circuits_match_commit"):
         assert wanted in names
 
 
@@ -446,7 +471,7 @@ def test_replay_validates_abort_board():
     params = SessionParams.from_master(9, 1, group="toy23")
     transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
                              engine_overrides={"aggregator": FlippingAggregator})
-    report = replay_board(transcript.records)[0]
+    report = replay_board(board_of(transcript.records))[0]
     assert report.verdict == "abort"
     assert report.ok
 
@@ -460,29 +485,30 @@ def test_replay_catches_reforged_output():
     body["y"] = 1 - int(body["y"])
     records[19] = make_record(target.seq, target.session, target.author,
                               target.kind, body)
-    report = replay_board(records)[0]
+    report = replay_board(board_of(records))[0]
     assert not report.ok
     failing = {name for name, ok, _ in report.checks if not ok}
     assert "aggregate_decode" in failing
 
 
-def test_replay_catches_stale_digest():
+def test_ingest_refuses_stale_digest():
+    """An edited body under its old digest never reaches replay: the board
+    refuses it as it is appended."""
     transcript = car_run("111", 1, seed=23)
     records = list(transcript.records)
     target = records[2]
+    assert target.kind == "mask_commit"
     records[2] = type(target)(target.seq, target.session, target.author,
                               target.kind, {"part": 1, "commitment": "00"},
                               target.digest)
-    report = replay_board(records)[0]
-    assert not report.ok
-    failing = {name for name, ok, _ in report.checks if not ok}
-    assert "record_digests" in failing
+    with pytest.raises(DigestMismatch, match="record 2 digest does not verify"):
+        board_of(records)
 
 
 @pytest.mark.parametrize("salt", ["zz", 12])
 def test_replay_reports_non_hex_salt(salt):
-    records, target = edited_golden("mask_reveal", "salt", salt)
-    report = replay_board(records)[0]
+    board, target = edited_golden("mask_reveal", "salt", salt)
+    report = replay_board(board)[0]
     assert not report.ok
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert [name for name, _ in failed] == ["well_formed"]
@@ -505,8 +531,8 @@ def test_replay_reports_non_hex_salt(salt):
     ("aggregate_publish", "decode", {"a": 1}, "ValueError"),
 ])
 def test_replay_reports_malformed_field(kind, field, value, exc):
-    records, target = edited_golden(kind, field, value)
-    report = replay_board(records)[0]
+    board, target = edited_golden(kind, field, value)
+    report = replay_board(board)[0]
     assert not report.ok
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert [name for name, _ in failed] == ["well_formed"]
@@ -533,14 +559,14 @@ def test_replay_never_raises_on_a_wrong_typed_field():
                 edited = list(records)
                 edited[i] = make_record(target.seq, target.session, target.author,
                                         target.kind, {**target.body, name: value})
-                assert len(replay_board(edited)) == 1
+                assert len(replay_board(board_of(edited))) == 1
                 edits += 1
     assert edits == 1155
 
 
 def test_replay_flags_n_parts_that_disagrees_with_the_parts():
-    records, _ = edited_golden("session_init", "n_parts", 5)
-    report = replay_board(records)[0]
+    board, _ = edited_golden("session_init", "n_parts", 5)
+    report = replay_board(board)[0]
     assert not report.ok
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert failed == [("parts_match_init",
@@ -549,18 +575,18 @@ def test_replay_flags_n_parts_that_disagrees_with_the_parts():
 
 
 def test_replay_bounds_parts_by_the_board_not_by_n_parts():
-    records, _ = edited_golden("session_init", "n_parts", 10**9)
+    board, _ = edited_golden("session_init", "n_parts", 10**9)
     t0 = time.perf_counter()
-    report = replay_board(records)[0]
+    report = replay_board(board)[0]
     assert time.perf_counter() - t0 < 1.0
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["parts_match_init"]
 
 
 def test_replay_flags_a_partition_label_outside_its_pair():
-    records, target = edited_golden("partition_output", "label", "ab" * 16)
+    board, target = edited_golden("partition_output", "label", "ab" * 16)
     assert target.body["part"] == 1
-    report = replay_board(records)[0]
+    report = replay_board(board)[0]
     assert not report.ok
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["partition_label_valid_1"]
@@ -568,19 +594,67 @@ def test_replay_flags_a_partition_label_outside_its_pair():
 
 @pytest.mark.parametrize("part", [0, -1, 9])
 def test_replay_fails_a_partition_output_for_no_part(part):
-    records, _ = edited_golden("partition_output", "part", part)
-    report = replay_board(records)[0]
+    board, _ = edited_golden("partition_output", "part", part)
+    report = replay_board(board)[0]
     assert not report.ok
     assert (f"partition_label_valid_{part}", False, "") in report.checks
 
 
 def test_replay_flags_x1m_that_disagrees_with_the_reveals():
-    records, target = edited_golden("aggregate_publish", "x1m", 1)
+    board, target = edited_golden("aggregate_publish", "x1m", 1)
     assert target.body["x1m"] == 0
-    report = replay_board(records)[0]
+    report = replay_board(board)[0]
     assert not report.ok
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert failed == [("x1m_matches_reveals", "x1m 1, revealed masks XOR to 0")]
+
+
+def _golden_field(kind, field):
+    return next(r.body[field] for r in Repository(GOLDEN_BOARD) if r.kind == kind)
+
+
+def _gate_2_and(circuit):
+    gates = [list(g) for g in circuit["gates"]]
+    assert gates[2][0] == "OR"
+    gates[2][0] = "AND"
+    return {**circuit, "gates": gates}
+
+
+@pytest.mark.parametrize("kind, field, edit, detail", [
+    ("aggregate_publish", "circuit", _gate_2_and, "aggregate_publish: circuit"),
+    ("garbled_partition", "mask_input", lambda wire: wire - 1,
+     "garbled_partition part 1: mask_input"),
+    ("statement_commit", "circuit",
+     lambda circuit: {**circuit, "gates": [], "output": 0},
+     "statement_commit: DepthZero: cannot partition a circuit with no gates"),
+    ("statement_commit", "circuit",
+     lambda _: {"n_inputs": 10**9, "output": 10**9 + 2, "gates": [["AND", 0, 1, 1]]},
+     "garbled_partition part 1: circuit"),
+])
+def test_replay_flags_circuits_that_differ_from_the_commit(kind, field, edit, detail):
+    board, _ = edited_golden(kind, field, edit(_golden_field(kind, field)))
+    report = replay_board(board)[0]
+    failed = [(name, d) for name, ok, d in report.checks if not ok]
+    assert failed == [("circuits_match_commit", detail)]
+
+
+def test_each_record_is_digested_once(monkeypatch):
+    """A published record's digest is computed once, by make_record, and a
+    replay computes none: the board verified every digest as it loaded."""
+    calls = []
+    digest_fields = zkfabric.repository._digest_fields
+
+    def counting(*args):
+        calls.append(args[0])
+        return digest_fields(*args)
+
+    monkeypatch.setattr(zkfabric.repository, "_digest_fields", counting)
+    transcript = car_run("111", 1)
+    assert calls == [r.seq for r in transcript.records] == list(range(21))
+    golden = Repository(GOLDEN_BOARD)
+    calls.clear()
+    assert replay_board(golden)[0].ok
+    assert calls == []
 
 
 def test_replay_flags_a_verdict_not_posted_by_the_prover():
@@ -589,7 +663,7 @@ def test_replay_flags_a_verdict_not_posted_by_the_prover():
     assert (verdict.kind, verdict.author) == ("final_verdict", "prover")
     records[-1] = make_record(verdict.seq, verdict.session, "verifier-1",
                               verdict.kind, verdict.body)
-    report = replay_board(records)[0]
+    report = replay_board(board_of(records))[0]
     assert not report.ok
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert failed == [("verdict_author", "posted by verifier-1")]
@@ -638,7 +712,7 @@ def test_modp2048_smoke():
     transcript = run_simulation(CAR_STATEMENT, "111", 1, seed=12,
                                 group="modp2048")
     assert transcript.verdict == "accept"
-    report = replay_board(transcript.records)[0]
+    report = replay_board(board_of(transcript.records))[0]
     assert report.ok
 
 
