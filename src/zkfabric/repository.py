@@ -1,13 +1,19 @@
 """Append-only public board holding one canonical record per line.
 
 Records never change once appended.  Each one is a JSON object with the
-keys sorted and no insignificant whitespace, holding sequence number,
-session, author, kind, a kind-specific body (binary values as lowercase
-hex), and a digest over the canonical encoding of the other five fields.
-Decoding re-encodes and compares bytes, so any non-canonical or edited
-line is rejected outright.  Each digest covers only its own record; the
-records are not chained to one another.  `publish` computes the digest of
-the record it makes, while `append` and loading a file verify it.
+keys sorted and no insignificant whitespace (non-ASCII characters escaped),
+holding sequence number, session, author, kind, a kind-specific body
+(binary values as lowercase hex), and a digest.  The digest is the SHA-256
+of the canonical encoding of the other five fields, which is the record's
+own line with its `"digest":"...",` member left out.  So each record is
+encoded once, whether it is published, appended, loaded, encoded or
+decoded: the line's text before and after that member gives both the
+digest payload and the line.  Decoding re-encodes and compares bytes, so
+any non-canonical or edited line, or a field of the wrong JSON type, is
+rejected outright as `MalformedRecord`.  Each digest covers only its own
+record; the records are not chained to one another.  `publish` computes
+the digest of the record it makes, while `append` and loading a file
+verify it.
 """
 
 from __future__ import annotations
@@ -45,56 +51,81 @@ class RepositoryRecord:
     digest: str
 
 
-def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True).encode()
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_string = json.encoder.encode_basestring_ascii
+_KEYS = frozenset({"seq", "session", "author", "kind", "body", "digest"})
 
 
-def _digest_fields(seq: int, session: str, author: str, kind: str, body: dict) -> str:
-    payload = _canonical({"seq": seq, "session": session, "author": author,
-                          "kind": kind, "body": body})
-    return sha256(payload).hex()
+def _split_line(seq: int, session: str, author: str, kind: str,
+                body: dict) -> tuple[str, str]:
+    """The canonical line's text before and after its `"digest":...,` member.
+
+    The keys of a canonical line sort as author, body, digest, kind, seq,
+    session, so the digest payload (the same object without `digest`) is
+    the two parts joined, and the line is the two parts around the digest
+    member.  Only the body goes through the JSON encoder, which is why the
+    other fields must have exactly the types checked here.
+    """
+    if (type(seq) is not int or not isinstance(session, str)
+            or not isinstance(author, str) or not isinstance(kind, str)
+            or not isinstance(body, dict)):
+        raise MalformedRecord("bad field types")
+    return (f'{{"author":{_string(author)},"body":{_ENCODER.encode(body)},',
+            f'"kind":{_string(kind)},"seq":{seq},"session":{_string(session)}}}')
+
+
+def _line(head: str, digest: str, tail: str) -> bytes:
+    return f'{head}"digest":{_string(digest)},{tail}'.encode()
+
+
+def _digest(head: str, tail: str) -> str:
+    return sha256((head + tail).encode()).hex()
+
+
+def _digest_fields(seq: int, session: str, author: str, kind: str,
+                   body: dict) -> tuple[str, str, str]:
+    """The record's digest, and the two parts of the line it covers."""
+    head, tail = _split_line(seq, session, author, kind, body)
+    return _digest(head, tail), head, tail
 
 
 def make_record(seq: int, session: str, author: str, kind: str, body: dict) -> RepositoryRecord:
     return RepositoryRecord(seq, session, author, kind, body,
-                            _digest_fields(seq, session, author, kind, body))
+                            _digest_fields(seq, session, author, kind, body)[0])
 
 
-def _verified(record: RepositoryRecord) -> RepositoryRecord:
-    if record.digest != _digest_fields(record.seq, record.session, record.author,
-                                       record.kind, record.body):
+def _verify(record: RepositoryRecord, digest: str) -> None:
+    if record.digest != digest:
         raise DigestMismatch(f"record {record.seq} digest does not verify")
-    return record
 
 
 def encode_record(record: RepositoryRecord) -> bytes:
-    return _canonical({
-        "seq": record.seq,
-        "session": record.session,
-        "author": record.author,
-        "kind": record.kind,
-        "body": record.body,
-        "digest": record.digest,
-    })
+    head, tail = _split_line(record.seq, record.session, record.author,
+                             record.kind, record.body)
+    return _line(head, record.digest, tail)
 
 
-def decode_record(data: bytes) -> RepositoryRecord:
+def _decode(data: bytes) -> tuple[RepositoryRecord, str, str]:
+    """The record on a canonical line, and the two parts of that line."""
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"not JSON: {exc}") from None
-    if not isinstance(obj, dict) or set(obj) != {
-        "seq", "session", "author", "kind", "body", "digest"
-    }:
+    except (ValueError, RecursionError) as exc:
+        raise MalformedRecord(f"not JSON: {type(exc).__name__}: {exc}") from None
+    if not isinstance(obj, dict) or obj.keys() != _KEYS:
         raise MalformedRecord("wrong field set")
     record = RepositoryRecord(obj["seq"], obj["session"], obj["author"],
                               obj["kind"], obj["body"], obj["digest"])
-    if not isinstance(record.seq, int) or not isinstance(record.body, dict):
+    if not isinstance(record.digest, str):
         raise MalformedRecord("bad field types")
-    if encode_record(record) != data:
+    head, tail = _split_line(record.seq, record.session, record.author,
+                             record.kind, record.body)
+    if _line(head, record.digest, tail) != data:
         raise MalformedRecord("non-canonical encoding")
-    return record
+    return record, head, tail
+
+
+def decode_record(data: bytes) -> RepositoryRecord:
+    return _decode(data)[0]
 
 
 class Repository:
@@ -122,7 +153,9 @@ class Repository:
         if raw and not raw.endswith(b"\n"):
             raise MalformedRecord("truncated final line")
         for line in raw.splitlines():
-            self._ingest(_verified(decode_record(line)))
+            record, head, tail = _decode(line)
+            _verify(record, _digest(head, tail))
+            self._ingest(record)
 
     def _ingest(self, record: RepositoryRecord) -> None:
         """Check the record's kind, seq and session opening, then index it."""
@@ -143,19 +176,27 @@ class Repository:
     def next_seq(self) -> int:
         return len(self._records)
 
-    def _add(self, record: RepositoryRecord) -> RepositoryRecord:
+    def _add(self, record: RepositoryRecord, head: str, tail: str) -> RepositoryRecord:
+        """Ingest the record and write its line, the two parts around its
+        digest, to the backing file."""
         self._ingest(record)
         if self.path is not None:
             with open(self.path, "ab") as fh:
-                fh.write(encode_record(record) + b"\n")
+                fh.write(_line(head, record.digest, tail) + b"\n")
                 fh.flush()
         return record
 
     def append(self, record: RepositoryRecord) -> int:
-        return self._add(_verified(record)).seq
+        digest, head, tail = _digest_fields(record.seq, record.session, record.author,
+                                            record.kind, record.body)
+        _verify(record, digest)
+        return self._add(record, head, tail).seq
 
     def publish(self, session: str, author: str, kind: str, body: dict) -> RepositoryRecord:
-        return self._add(make_record(self.next_seq, session, author, kind, body))
+        seq = self.next_seq
+        digest, head, tail = _digest_fields(seq, session, author, kind, body)
+        return self._add(RepositoryRecord(seq, session, author, kind, body, digest),
+                         head, tail)
 
     def fetch(self, session: str | None = None,
               kind: str | None = None) -> list[RepositoryRecord]:

@@ -1,12 +1,14 @@
 """Shared generators and fixtures for the test suite."""
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
 from zkfabric.circuit import CircuitBuilder, evaluate_plain, evaluate_wires
 from zkfabric.protocol import ProverEngine, SessionParams, Transcript, run_session
-from zkfabric.repository import Repository, make_record
+from zkfabric.hashing import sha256
+from zkfabric.repository import Repository, RepositoryRecord, make_record
 from zkfabric.syntax import MinimizedExpr, TruthTable, _assignment, _implicant_str
 
 GOLDEN_BOARD = Path(__file__).parent / "golden" / "car_toy23.board"
@@ -73,6 +75,58 @@ def scan_fetch(records, session=None, kind=None):
     return [r for r in records
             if (session is None or r.session == session)
             and (kind is None or r.kind == kind)]
+
+
+def reference_canonical(obj) -> bytes:
+    """The board's canonical JSON, one whole `json.dumps` per object: the
+    reference the record encoding is compared against."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True).encode()
+
+
+def reference_digest(seq, session, author, kind, body) -> str:
+    """Reference digest: over the canonical encoding of the five fields."""
+    payload = reference_canonical({"seq": seq, "session": session, "author": author,
+                                   "kind": kind, "body": body})
+    return sha256(payload).hex()
+
+
+def reference_encode(record: RepositoryRecord) -> bytes:
+    """Reference line: the canonical encoding of all six fields."""
+    return reference_canonical({
+        "seq": record.seq,
+        "session": record.session,
+        "author": record.author,
+        "kind": record.kind,
+        "body": record.body,
+        "digest": record.digest,
+    })
+
+
+def raw_line(**texts) -> bytes:
+    """A board line built from JSON texts, one per field (defaults: an
+    empty session_init of session "s" at seq 0), with the digest taken
+    over the other five as the board takes it; so a test can write values
+    the encoder never would."""
+    fields = {"author": '"prover"', "body": "{}", "kind": '"session_init"',
+              "seq": "0", "session": '"s"', **texts}
+
+    def line(items):
+        return "{" + ",".join(f'"{k}":{v}' for k, v in sorted(items.items())) + "}"
+
+    digest = sha256(line(fields).encode()).hex()
+    return line({**fields, "digest": f'"{digest}"'}).encode()
+
+
+# boards whose last line a hostile poster could write, its digest valid;
+# the seq case's first line opens the session the last one names
+HOSTILE_BOARDS = {
+    "kind_list": [raw_line(kind='["session_init"]')],
+    "session_list": [raw_line(session='["s"]')],
+    "long_number": [raw_line(body='{"n":' + "9" * 5000 + "}")],
+    "deep_nesting": [raw_line(body='{"n":' + "[" * 200_000 + "]" * 200_000 + "}")],
+    "seq_true": [raw_line(), raw_line(seq="true", kind='"mask_commit"')],
+}
 
 
 def board_of(records) -> Repository:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import CAR_STATEMENT, GOLDEN_BOARD, edited_golden
+from helpers import CAR_STATEMENT, GOLDEN_BOARD, HOSTILE_BOARDS, edited_golden
 from zkfabric.cli import main
 from zkfabric.repository import decode_record, encode_record
 
@@ -292,3 +292,13 @@ def test_verify_transcript_refuses_a_line_edited_under_its_old_digest(capsys, tm
     assert code == 2
     assert out == ""
     assert "error: DigestMismatch: record 2 digest does not verify" in err
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_BOARDS))
+def test_verify_transcript_refuses_a_hostile_line(capsys, tmp_path, case):
+    board = tmp_path / "board.jsonl"
+    board.write_bytes(b"".join(line + b"\n" for line in HOSTILE_BOARDS[case]))
+    code, out, err = run_cli(capsys, "verify-transcript", str(board))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: MalformedRecord")

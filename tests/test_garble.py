@@ -1,4 +1,7 @@
 import random
+import time
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -141,6 +144,27 @@ def test_evaluate_requires_exact_input_set():
         evaluate_garbled(gc, {0: labels[0]})
     with pytest.raises(ArityMismatch):
         evaluate_garbled(gc, {0: labels[0], 1: labels[1], 7: labels[0]})
+    with pytest.raises(ArityMismatch):
+        evaluate_garbled(gc, {0: labels[0], 7: labels[1]})
+
+
+def test_evaluate_checks_a_stated_arity_without_building_it():
+    """A posted circuit may state any n_inputs; refusing a wrong label set
+    costs the size of the labels given, not of the statement."""
+    gc, encode, _ = garble_circuit(single_gate("AND"), seed=2)
+    huge = replace(gc, circuit=replace(gc.circuit, n_inputs=10**9))
+    labels = dict(enumerate(encode_input(encode, (0, 1))))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ArityMismatch):
+            evaluate_garbled(huge, labels)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 2**20
 
 
 def test_encode_input_arity():

@@ -203,12 +203,19 @@ def test_modp2048_round_trip_smoke():
 
 
 def test_modp2048_membership_matches_euler_criterion():
+    """Euler's criterion (a full pow per element) is the oracle on a few
+    random draws; many more elements have a membership known by
+    construction: g^e is in the subgroup and a non-residue times g^e is not."""
     p, q, g = MODP2048.p, MODP2048.q, MODP2048.g
     rng = HashDrbg(2048, context="euler")
-    for _ in range(200):
+    for _ in range(24):
         x = rng.randbelow(p)
         assert in_subgroup(MODP2048, x) == (pow(x, q, p) == 1)
     non_residue = next(n for n in range(2, 100) if pow(n, q, p) == p - 1)
+    for _ in range(100):
+        member = pow(g, rng.randbelow(2**64), p)
+        assert in_subgroup(MODP2048, member)
+        assert not in_subgroup(MODP2048, non_residue * member % p)
     for x in (0, p, p - 1, g * non_residue % p):
         assert not in_subgroup(MODP2048, x)
     assert in_subgroup(MODP2048, 1)

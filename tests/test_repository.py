@@ -5,7 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import scan_fetch
+from helpers import (
+    HOSTILE_BOARDS,
+    reference_digest,
+    reference_encode,
+    scan_fetch,
+)
 from zkfabric.errors import DigestMismatch, MalformedRecord, StaleSequence
 from zkfabric.repository import (
     RECORD_KINDS,
@@ -95,6 +100,71 @@ def test_decode_rejects_bad_types():
     with pytest.raises(MalformedRecord):
         decode_record(json.dumps(obj, sort_keys=True,
                                  separators=(",", ":")).encode())
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_BOARDS))
+def test_decode_refuses_a_hostile_line(case):
+    with pytest.raises(MalformedRecord):
+        decode_record(HOSTILE_BOARDS[case][-1])
+
+
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\u00e9\u20ac\U0001f600'),
+                    max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=16)
+
+
+def non_canonical_variants(line):
+    """The line with a space added inside or at its end, with its keys in
+    reverse order, and with its non-ASCII characters written raw instead
+    of escaped."""
+    obj = json.loads(line)
+    yield line.replace(b":", b": ", 1)
+    yield line + b" "
+    yield json.dumps(dict(reversed(sorted(obj.items()))), separators=(",", ":")).encode()
+    yield json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                     ensure_ascii=False).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4),
+       number=st.integers(-10**30, 10**30), session=JSON_TEXT, author=JSON_TEXT)
+def test_encoding_matches_the_reference(body, number, session, author):
+    """The line and digest are those of one whole json.dumps per record;
+    decode and a file load refuse the same non-canonical lines."""
+    body = {**body, "": number, "\u00e9": "\u00e9"}  # "" sorts first in any body
+    record = make_record(0, session, author, "session_init", body)
+    line = encode_record(record)
+    assert record.digest == reference_digest(0, session, author, "session_init", body)
+    assert line == reference_encode(record)
+    assert decode_record(line) == record
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "board.jsonl"
+        Repository(path).publish(session, author, "session_init", body)
+        assert path.read_bytes() == line + b"\n"
+        assert list(Repository(path)) == [record]
+        for variant in non_canonical_variants(line):
+            assert variant != line
+            with pytest.raises(MalformedRecord, match="non-canonical"):
+                decode_record(variant)
+            path.write_bytes(variant + b"\n")
+            with pytest.raises(MalformedRecord, match="non-canonical"):
+                Repository(path)
+        # a float is canonical JSON too, so 1.0 in place of 1 reads as
+        # another record (if the float prints back as written), whose
+        # digest the load then refuses
+        head = b'"body":{"":%d' % number
+        as_float = line.replace(head, head + b".0", 1)
+        assert as_float != line
+        try:
+            assert reference_encode(decode_record(as_float)) == as_float
+        except MalformedRecord:
+            pass
+        path.write_bytes(as_float + b"\n")
+        with pytest.raises((MalformedRecord, DigestMismatch)):
+            Repository(path)
 
 
 def test_append_validates_digest():
