@@ -214,6 +214,14 @@ def ot_receiver_choose(
     return _receiver_from_secret(params, c, choice, k)
 
 
+def check_choose(params: GroupParams, c: int | None, y0: int, y1: int) -> None:
+    """Refuse receiver keys unless both are in the subgroup with product c."""
+    if not in_subgroup(params, y0) or not in_subgroup(params, y1):
+        raise InvalidGroupElement("receiver key outside the subgroup")
+    if y0 * y1 % params.p != c:
+        raise ConsistencyCheckFailed("y0 * y1 != c")
+
+
 def ot_sender_transfer(
     state: OTSenderState,
     y0: int,
@@ -222,16 +230,12 @@ def ot_sender_transfer(
     m1: bytes,
     rng: HashDrbg,
 ) -> OTTransfer:
-    p = state.params.p
-    if not in_subgroup(state.params, y0) or not in_subgroup(state.params, y1):
-        raise InvalidGroupElement("receiver key outside the subgroup")
-    if y0 * y1 % p != state.c:
-        raise ConsistencyCheckFailed("y0 * y1 != c")
+    check_choose(state.params, state.c, y0, y1)
     halves = []
     for y, m in ((y0, m0), (y1, m1)):
         r = rng.randbelow(state.params.secret_bound)
         a = _g_pow(state.params, r)
-        shared = element_to_bytes(state.params, pow(y, r, p))
+        shared = element_to_bytes(state.params, pow(y, r, state.params.p))
         halves.append((a, xor_bytes(m, mask_stream(shared, len(m)))))
     return OTTransfer(halves[0], halves[1])
 

@@ -22,12 +22,18 @@ Where the board holds a second record of what an engine looks for (a
 mask_commit, partition_output or mask_reveal for the same part; a
 garbled_partition, prover_labels, ot_choose or ot_transfer for the same
 party; an aggregate_publish, aggregate_output or final_verdict), the
-first one wins.
+first one wins (first_by), also where replay looks one up.  Each public
+check is one function raising the error an engine aborts with, run by
+one engine and by replay: check_reveal (prover; commit_opens_part_<i>),
+ot.check_choose (ot_sender_transfer; ot_consistency_<id>), check_output
+(aggregator; partition_label_valid_<i>), check_decode (prover;
+aggregate_decode).
 
 Engines and replay read every body field through read(rec, name) and its
 table FIELDS.  A field it cannot read (missing, of the wrong JSON type,
 not hex) aborts the session with reason MalformedRecord, or fails the
-replay's well_formed check with a detail naming the record and field.
+replay's well_formed check with a detail naming the record and field;
+any other failed check's detail is "<ErrorClass>: <message>".
 
 replay_board audits a loaded Repository: the board has checked every
 record's digest, seq, kind and session opening as it took it, so replay
@@ -53,12 +59,10 @@ from .circuit import (
 from .errors import (
     ArityMismatch,
     CommitMismatch,
-    DecryptFailure,
     DepthZero,
     InvalidGroupElement,
     MalformedRecord,
     PartitionOutputInvalid,
-    UnknownLabel,
     VerdictMismatch,
     ZkFabricError,
 )
@@ -75,9 +79,9 @@ from .garble import (
 from .hashing import LABEL_BYTES, HashDrbg, commit_bit, sha256
 from .ot import (
     OTTransfer,
+    check_choose,
     element_to_bytes,
     group_by_name,
-    in_subgroup,
     ot_receiver_choose,
     ot_receiver_recover,
     ot_sender_init,
@@ -173,6 +177,39 @@ def read(rec: RepositoryRecord, name: str):
                               f"{type(exc).__name__}: {name}: {exc}") from None
 
 
+def first_by(records: list[RepositoryRecord], key: str) -> dict:
+    """`records` by their `key` field, the first record of each key."""
+    found = {}
+    for rec in records:
+        found.setdefault(read(rec, key), rec)
+    return found
+
+
+def check_reveal(commit: RepositoryRecord | None, reveal: RepositoryRecord, lam: int) -> int:
+    """The mask bit that `reveal` opens, if it opens `commit`, the first
+    mask_commit of its part (None where the part has none)."""
+    r, salt = read(reveal, "r"), read(reveal, "salt")
+    if commit is None or commit_bit(r, salt, lam) != read(commit, "commitment"):
+        raise CommitMismatch(f"mask_reveal record {reveal.seq} does not open its commitment")
+    return r
+
+
+def check_output(tables, mask_inputs, input_labels, part: int, label: bytes) -> None:
+    """Refuse `label` as part `part`'s output unless it and the part's mask
+    label open the part's unmask gate, gate part - 1 of the aggregate."""
+    if not 1 <= part <= min(len(tables), len(mask_inputs)):
+        raise PartitionOutputInvalid(f"part {part} has no unmask gate")
+    mask_label = input_labels.get(mask_inputs[part - 1])
+    if mask_label is None or open_gate(tables[part - 1], part - 1, label, mask_label) is None:
+        raise PartitionOutputInvalid(f"part {part} posted a label outside its pair")
+
+
+def check_decode(decode: DecodeInfo, output: RepositoryRecord) -> None:
+    """Refuse an aggregate_output whose label does not decode to its y."""
+    if decode_output(decode, read(output, "label")) != read(output, "y"):
+        raise VerdictMismatch("posted plaintext does not match the label")
+
+
 @dataclass(frozen=True)
 class SessionParams:
     session_id: str
@@ -221,9 +258,13 @@ class _Engine:
         self.params = params
         self.repo = repo
         self.done = False
+        self.verdict: RepositoryRecord | None = None  # its first final_verdict
 
     def _post(self, kind: str, body: dict) -> RepositoryRecord:
-        return self.repo.publish(self.params.session_id, self.role, kind, body)
+        rec = self.repo.publish(self.params.session_id, self.role, kind, body)
+        if kind == "final_verdict":
+            self.verdict = self.verdict or rec
+        return rec
 
     def _abort(self, reason: str) -> None:
         self._post("final_verdict", {"verdict": "abort", "reason": reason})
@@ -234,14 +275,6 @@ class _Engine:
 
     def _session_init(self) -> RepositoryRecord:
         return self._fetch("session_init")[0]
-
-    def _by_key(self, kind: str, key: str) -> dict:
-        """This session's `kind` records by their `key` field, keeping the
-        first record of each key."""
-        found = {}
-        for rec in self._fetch(kind):
-            found.setdefault(read(rec, key), rec)
-        return found
 
     def _choose(self, ot_id: str, c: int, bit: int) -> None:
         """Post this party's receiver message for transfer `ot_id`."""
@@ -256,7 +289,7 @@ class _Engine:
     def _recover(self, ot_id: str) -> bytes | None:
         """The label that the transfer for `ot_id` carries to this party,
         or None while the prover has not sent it."""
-        rec = self._by_key("ot_transfer", "session_id").get(ot_id)
+        rec = first_by(self._fetch("ot_transfer"), "session_id").get(ot_id)
         if rec is None:
             return None
         return ot_receiver_recover(
@@ -326,13 +359,9 @@ class ProverEngine(_Engine):
                              context=f"{params.session_id}/prover")
         self.group = group_by_name(params.group)
         self.phase = "await_commits"
-        self.commitments: dict[int, str] = {}
         self.part_results: list[GarblingResult] = []
-        self.part_ot: dict[int, object] = {}
-        self.transfers_sent: set[int] = set()
-        self.masks: list[int] = []
+        self.offers: dict[str, tuple] = {}  # ot_id -> (sender state, label pair)
         self.agg_result: GarblingResult | None = None
-        self.agg_ot = None
 
     def bootstrap(self) -> None:
         self._post("session_init", {
@@ -352,16 +381,15 @@ class ProverEngine(_Engine):
         })
 
     def _await_commits(self) -> str | None:
-        for rec in self._fetch("mask_commit"):
-            self.commitments.setdefault(read(rec, "part"), read(rec, "commitment"))
-        if not set(range(1, self.m1 + 1)) <= set(self.commitments):
+        self.commits = first_by(self._fetch("mask_commit"), "part")
+        if not set(range(1, self.m1 + 1)) <= set(self.commits):
             return None
         lam = self.params.lambda_h
         for i, part in enumerate(self.pset.parts, start=1):
             res = garble_full(part.circuit, self.drbg, lam)
             self.part_results.append(res)
             c, state = ot_sender_init(self.group, self.drbg)
-            self.part_ot[i] = state
+            self.offers[f"mask-{i}"] = (state, res.wire_labels[part.mask_input])
             body = {"part": i, **_part_wiring(part), "ot_c": self._elem(c),
                     **_tables_to_body(res)}
             self._post("garbled_partition", body)
@@ -370,53 +398,36 @@ class ProverEngine(_Engine):
                 for local, parent in enumerate(part.parent_inputs)
             }
             self._post("prover_labels", {"part": i, "labels": labels})
-        self.phase = "await_chooses"
+        self.phase = "answer"
         return "publish_partitions"
 
     def _elem(self, x: int) -> str:
         return element_to_bytes(self.group, x).hex()
 
-    def _await_chooses(self) -> str | None:
-        chooses = self._by_key("ot_choose", "session_id")
-        progress = False
-        for i in range(1, self.m1 + 1):
-            if i in self.transfers_sent or f"mask-{i}" not in chooses:
-                continue
-            mask_wire = self.pset.parts[i - 1].mask_input
-            pair = self.part_results[i - 1].wire_labels[mask_wire]
-            self._send_transfer(f"mask-{i}", self.part_ot[i], chooses[f"mask-{i}"], pair)
-            self.transfers_sent.add(i)
-            progress = True
-        if len(self.transfers_sent) == self.m1:
-            self.phase = "await_outputs"
-        return "ot_transfer" if progress else None
-
-    def _send_transfer(self, ot_id: str, state, choose: RepositoryRecord,
-                       pair: tuple[bytes, bytes]) -> None:
-        tr = ot_sender_transfer(state, read(choose, "y0"), read(choose, "y1"),
-                                pair[0], pair[1], self.drbg)
-        self._post("ot_transfer", {
-            "session_id": ot_id,
-            "c0": [self._elem(tr.c0[0]), tr.c0[1].hex()],
-            "c1": [self._elem(tr.c1[0]), tr.c1[1].hex()],
-        })
+    def _answer(self) -> str | None:
+        """Send the transfer of each open offer whose receiver has chosen."""
+        chooses = first_by(self._fetch("ot_choose"), "session_id")
+        ready = [ot_id for ot_id in self.offers if ot_id in chooses]
+        for ot_id in ready:
+            state, (m0, m1) = self.offers.pop(ot_id)
+            tr = ot_sender_transfer(state, read(chooses[ot_id], "y0"),
+                                    read(chooses[ot_id], "y1"), m0, m1, self.drbg)
+            self._post("ot_transfer", {
+                "session_id": ot_id,
+                "c0": [self._elem(tr.c0[0]), tr.c0[1].hex()],
+                "c1": [self._elem(tr.c1[0]), tr.c1[1].hex()],
+            })
+        if not self.offers:
+            self.phase = "await_agg_output" if self.agg_result else "await_outputs"
+        return "ot_transfer" if ready else None
 
     def _await_outputs(self) -> str | None:
-        outputs = self._by_key("partition_output", "part")
-        reveals = self._by_key("mask_reveal", "part")
-        wanted = set(range(1, self.m1 + 1))
-        if not (wanted <= set(outputs) and wanted <= set(reveals)):
+        reveals = first_by(self._fetch("mask_reveal"), "part")
+        if not set(range(1, self.m1 + 1)) <= set(reveals):
             return None
         lam = self.params.lambda_h
-        for i in range(1, self.m1 + 1):
-            r_bit = read(reveals[i], "r")
-            if commit_bit(r_bit, read(reveals[i], "salt"), lam) != self.commitments[i]:
-                raise CommitMismatch(f"part {i} reveal does not open its commitment")
-            out_wire = self.pset.parts[i - 1].circuit.output
-            pair = self.part_results[i - 1].wire_labels[out_wire]
-            if read(outputs[i], "label") not in pair:
-                raise PartitionOutputInvalid(f"part {i} posted a label outside its pair")
-            self.masks.append(r_bit)
+        self.masks = [check_reveal(self.commits[i], reveals[i], lam)
+                      for i in range(1, self.m1 + 1)]
 
         # the aggregate's first inputs (agg.part_inputs) take the parts'
         # output pairs, so its evaluator reads the posted outputs as they are
@@ -430,7 +441,8 @@ class ProverEngine(_Engine):
         for local, parent in zip(agg.passthrough_inputs, agg.passthrough_parents):
             input_labels[str(local)] = self.agg_result.encode.label_for(
                 local, self.witness[parent]).hex()
-        c, self.agg_ot = ot_sender_init(self.group, self.drbg)
+        c, state = ot_sender_init(self.group, self.drbg)
+        self.offers["xm"] = (state, self.agg_result.wire_labels[agg.agg_input])
         body = {
             **_aggregate_wiring(agg),
             "decode": self.agg_result.decode.to_lists(),
@@ -440,25 +452,14 @@ class ProverEngine(_Engine):
         }
         body.update(_tables_to_body(self.agg_result))
         self._post("aggregate_publish", body)
-        self.phase = "await_agg_choose"
+        self.phase = "answer"
         return "aggregate_setup"
-
-    def _await_agg_choose(self) -> str | None:
-        chooses = self._by_key("ot_choose", "session_id")
-        if "xm" not in chooses:
-            return None
-        pair = self.agg_result.wire_labels[self.pset.aggregate.agg_input]
-        self._send_transfer("xm", self.agg_ot, chooses["xm"], pair)
-        self.phase = "await_agg_output"
-        return "ot_transfer"
 
     def _await_agg_output(self) -> str | None:
         recs = self._fetch("aggregate_output")
         if not recs:
             return None
-        y = decode_output(self.agg_result.decode, read(recs[0], "label"))
-        if y != read(recs[0], "y"):
-            raise VerdictMismatch("posted plaintext does not match the label")
+        check_decode(self.agg_result.decode, recs[0])
         my_accept = int(self.f_value == self.params.y_claim)
         if read(recs[0], "accept") != my_accept:
             raise VerdictMismatch("aggregator view disagrees with the prover")
@@ -492,8 +493,8 @@ class VerifierEngine(_Engine):
         return "commit"
 
     def _await_partition(self) -> str | None:
-        self.partition = self._by_key("garbled_partition", "part").get(self.index)
-        labels = self._by_key("prover_labels", "part").get(self.index)
+        self.partition = first_by(self._fetch("garbled_partition"), "part").get(self.index)
+        labels = first_by(self._fetch("prover_labels"), "part").get(self.index)
         if self.partition is None or labels is None:
             return None
         self.labels = read(labels, "labels")
@@ -545,11 +546,13 @@ class AggregatorEngine(_Engine):
         init = self._session_init()
         lam = read(init, "lambda_h")
         gc = _garbled(pub, lam)
-
-        outputs = self._by_key("partition_output", "part")
-        inputs = {local: read(outputs[i], "label")
-                  for i, local in enumerate(read(pub, "part_inputs"), start=1)}
-        inputs.update(read(pub, "input_labels"))
+        mask_inputs, input_labels = read(pub, "mask_inputs"), read(pub, "input_labels")
+        outputs = first_by(self._fetch("partition_output"), "part")
+        inputs = {}
+        for i, local in enumerate(read(pub, "part_inputs"), start=1):
+            inputs[local] = read(outputs[i], "label")
+            check_output(gc.tables, mask_inputs, input_labels, i, inputs[local])
+        inputs.update(input_labels)
         inputs[read(pub, "agg_input")] = xm_label
         out_label = evaluate_garbled(gc, inputs)
         y = decode_output(DecodeInfo(read(pub, "decode"), lam), out_label)
@@ -601,9 +604,8 @@ def run_session(params: SessionParams, statement_text: str, witness,
                 key = f"{engine.role}.{phase}"
                 timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
                 progress = True
-            verdicts = repo.fetch(session=sid, kind="final_verdict")
-            if verdicts:
-                verdict_rec = verdicts[0]
+            verdict_rec = engine.verdict
+            if verdict_rec is not None:
                 break
         if verdict_rec is None and not progress:
             raise RuntimeError("session deadlocked without a verdict")
@@ -642,6 +644,17 @@ def _check(report: ReplayReport, name: str, ok: bool, detail: str = "") -> None:
     report.checks.append((name, ok, detail))
     if not ok:
         report.ok = False
+
+
+def _verify(report: ReplayReport, name: str, check, *args) -> None:
+    """Check `name` by `check(*args)`: an error but MalformedRecord FAILs it."""
+    try:
+        check(*args)
+        _check(report, name, True)
+    except MalformedRecord:
+        raise
+    except ZkFabricError as exc:
+        _check(report, name, False, f"{type(exc).__name__}: {exc}")
 
 
 def replay_board(repo: Repository) -> list[ReplayReport]:
@@ -717,29 +730,22 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
         differ = _circuits_differ(by_kind)
         _check(report, "circuits_match_commit", not differ, differ)
 
-        commits = {read(rec, "part"): read(rec, "commitment")
-                   for rec in by_kind.get("mask_commit", [])}
+        commits = first_by(by_kind.get("mask_commit", []), "part")
         for rec in by_kind.get("mask_reveal", []):
             part = read(rec, "part")
-            opened = commit_bit(read(rec, "r"), read(rec, "salt"), lam)
-            _check(report, f"commit_opens_part_{part}",
-                   commits.get(part) == opened)
-
-        ot_c = {f"mask-{read(rec, 'part')}": read(rec, "ot_c")
-                for rec in by_kind.get("garbled_partition", [])}
-        for rec in by_kind.get("aggregate_publish", []):
-            ot_c["xm"] = read(rec, "ot_c")
-        for rec in by_kind.get("ot_choose", []):
-            ot_id = read(rec, "session_id")
-            y0, y1 = read(rec, "y0"), read(rec, "y1")
-            ok = (ot_id in ot_c
-                  and in_subgroup(group, y0) and in_subgroup(group, y1)
-                  and y0 * y1 % group.p == ot_c[ot_id])
-            _check(report, f"ot_consistency_{ot_id}", ok)
+            _verify(report, f"commit_opens_part_{part}", check_reveal,
+                    commits.get(part), rec, lam)
 
         publishes = by_kind.get("aggregate_publish", [])
-        if publishes:
-            pub = publishes[0]
+        ot_c = {f"mask-{part}": read(rec, "ot_c") for part, rec
+                in first_by(by_kind.get("garbled_partition", []), "part").items()}
+        ot_c.update(("xm", read(pub, "ot_c")) for pub in publishes[:1])
+        for rec in by_kind.get("ot_choose", []):
+            ot_id = read(rec, "session_id")
+            _verify(report, f"ot_consistency_{ot_id}", check_choose, group,
+                    ot_c.get(ot_id), read(rec, "y0"), read(rec, "y1"))
+
+        for pub in publishes[:1]:
             reveals = by_kind.get("mask_reveal", [])
             if reveals:
                 masks = reduce(xor, (read(rec, "r") for rec in reveals), 0)
@@ -749,22 +755,12 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
             tables, mask_inputs = read(pub, "tables"), read(pub, "mask_inputs")
             input_labels = read(pub, "input_labels")
             for rec in by_kind.get("partition_output", []):
-                # aggregate gate part-1 unmasks part `part`: its left operand
-                # is the part's output, its right the published mask label
-                part, label = read(rec, "part"), read(rec, "label")
-                ok = 1 <= part <= min(len(tables), len(mask_inputs))
-                if ok:
-                    mask_label = input_labels.get(mask_inputs[part - 1])
-                    ok = (mask_label is not None and open_gate(
-                        tables[part - 1], part - 1, label, mask_label) is not None)
-                _check(report, f"partition_label_valid_{part}", ok)
+                part = read(rec, "part")
+                _verify(report, f"partition_label_valid_{part}", check_output,
+                        tables, mask_inputs, input_labels, part, read(rec, "label"))
             for rec in by_kind.get("aggregate_output", []):
-                decode = DecodeInfo(read(pub, "decode"), lam)
-                try:
-                    ok = decode_output(decode, read(rec, "label")) == read(rec, "y")
-                except UnknownLabel:
-                    ok = False
-                _check(report, "aggregate_decode", ok)
+                _verify(report, "aggregate_decode", check_decode,
+                        DecodeInfo(read(pub, "decode"), lam), rec)
                 if report.verdict in ("accept", "reject"):
                     _check(report, "verdict_matches_aggregator",
                            (report.verdict == "accept") == bool(read(rec, "accept")))

@@ -51,7 +51,7 @@ class RepositoryRecord:
     digest: str
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 _string = json.encoder.encode_basestring_ascii
 _KEYS = frozenset({"seq", "session", "author", "kind", "body", "digest"})
 
@@ -64,14 +64,26 @@ def _split_line(seq: int, session: str, author: str, kind: str,
     session, so the digest payload (the same object without `digest`) is
     the two parts joined, and the line is the two parts around the digest
     member.  Only the body goes through the JSON encoder, which is why the
-    other fields must have exactly the types checked here.
+    other fields must have exactly the types checked here.  Every line
+    passes through here, so this is where the board refuses what I-JSON
+    (RFC 7493 section 2.1) forbids: NaN and the infinities, and a lone
+    surrogate, which ASCII-escaped text can hold only as a \\ud escape.
     """
     if (type(seq) is not int or not isinstance(session, str)
             or not isinstance(author, str) or not isinstance(kind, str)
             or not isinstance(body, dict)):
         raise MalformedRecord("bad field types")
-    return (f'{{"author":{_string(author)},"body":{_ENCODER.encode(body)},',
-            f'"kind":{_string(kind)},"seq":{seq},"session":{_string(session)}}}')
+    try:
+        head = f'{{"author":{_string(author)},"body":{_ENCODER.encode(body)},'
+    except ValueError as exc:
+        raise MalformedRecord(f"not I-JSON: {exc}") from None
+    tail = f'"kind":{_string(kind)},"seq":{seq},"session":{_string(session)}}}'
+    if "\\ud" in head or "\\ud" in tail:
+        try:
+            json.dumps([author, body, kind, session], ensure_ascii=False).encode()
+        except UnicodeEncodeError:
+            raise MalformedRecord("not I-JSON: a lone surrogate") from None
+    return head, tail
 
 
 def _line(head: str, digest: str, tail: str) -> bytes:

@@ -126,6 +126,11 @@ HOSTILE_BOARDS = {
     "long_number": [raw_line(body='{"n":' + "9" * 5000 + "}")],
     "deep_nesting": [raw_line(body='{"n":' + "[" * 200_000 + "]" * 200_000 + "}")],
     "seq_true": [raw_line(), raw_line(seq="true", kind='"mask_commit"')],
+    # what I-JSON (RFC 7493 section 2.1) forbids and Python's json reads
+    "nan": [raw_line(body='{"x":NaN}')],
+    "infinity": [raw_line(body='{"x":Infinity}')],
+    "lone_high_surrogate": [raw_line(body='{"x":"\\ud800"}')],
+    "lone_low_surrogate": [raw_line(session='"\\udc00"')],
 }
 
 

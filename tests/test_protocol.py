@@ -288,23 +288,37 @@ def test_lying_aggregator_aborts():
     assert transcript.reason == "VerdictMismatch"
 
 
-def test_duplicate_commit_first_one_wins():
-    class DoubleCommitVerifier(VerifierEngine):
-        def _commit(self):
-            out = super()._commit()
-            lam = read(self._session_init(), "lambda_h")
-            self._post("mask_commit", {
-                "part": self.index,
-                "commitment": commit_bit(1 - self.r, self.salt, lam),
-            })
-            return out
+class DoubleCommitVerifier(VerifierEngine):
+    def _commit(self):
+        out = super()._commit()
+        lam = read(self._session_init(), "lambda_h")
+        self._post("mask_commit", {
+            "part": self.index,
+            "commitment": commit_bit(1 - self.r, self.salt, lam),
+        })
+        return out
 
+
+def test_duplicate_commit_first_one_wins():
     params = SessionParams.from_master(7, 1, group="toy23")
     transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
                              engine_overrides={"verifier-1": DoubleCommitVerifier})
     assert transcript.verdict == "accept"
     commits = [r for r in transcript.records if r.kind == "mask_commit"]
     assert len(commits) == 3
+
+
+def test_replay_keeps_the_first_commit_of_a_part():
+    """Replay checks a reveal against its part's first mask_commit, the one
+    the prover keeps, so a second commit fails only parts_match_init."""
+    params = SessionParams.from_master(7, 1, group="toy23")
+    transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
+                             engine_overrides={"verifier-1": DoubleCommitVerifier})
+    report = replay_board(board_of(transcript.records))[0]
+    assert ("commit_opens_part_1", True, "") in report.checks
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert [name for name, _ in failed] == ["parts_match_init"]
+    assert "mask_commit parts [1, 1, 2]" in failed[0][1]
 
 
 @pytest.mark.parametrize("role, kind, field, value", [
@@ -597,7 +611,26 @@ def test_replay_fails_a_partition_output_for_no_part(part):
     board, _ = edited_golden("partition_output", "part", part)
     report = replay_board(board)[0]
     assert not report.ok
-    assert (f"partition_label_valid_{part}", False, "") in report.checks
+    assert (f"partition_label_valid_{part}", False,
+            f"PartitionOutputInvalid: part {part} has no unmask gate") in report.checks
+
+
+@pytest.mark.parametrize("kind, field, value, check, error", [
+    ("mask_reveal", "salt", "00" * 16, "commit_opens_part_1", "CommitMismatch"),
+    ("ot_choose", "y0", "05", "ot_consistency_mask-1", "InvalidGroupElement"),
+    ("ot_choose", "y0", "02", "ot_consistency_mask-1", "ConsistencyCheckFailed"),
+    ("partition_output", "label", "ab" * 16, "partition_label_valid_1",
+     "PartitionOutputInvalid"),
+    ("aggregate_output", "label", "ab" * 16, "aggregate_decode", "UnknownLabel"),
+    ("aggregate_output", "y", 1, "aggregate_decode", "VerdictMismatch"),
+])
+def test_replay_details_a_failed_shared_check(kind, field, value, check, error):
+    """A check that replay shares with an engine fails with the error the
+    engine would abort with as its detail."""
+    board, _ = edited_golden(kind, field, value)
+    failed = {name: detail for name, ok, detail in replay_board(board)[0].checks
+              if not ok}
+    assert failed[check].startswith(f"{error}: ")
 
 
 def test_replay_flags_x1m_that_disagrees_with_the_reveals():
@@ -655,6 +688,22 @@ def test_each_record_is_digested_once(monkeypatch):
     calls.clear()
     assert replay_board(golden)[0].ok
     assert calls == []
+
+
+def test_run_session_does_not_poll_for_the_verdict(monkeypatch):
+    """run_session stops on the step that posts the verdict, so the only
+    fetches are the engines' own and the transcript's."""
+    kinds = []
+    fetch = Repository.fetch
+
+    def counting(self, session=None, kind=None):
+        kinds.append(kind)
+        return fetch(self, session, kind)
+
+    monkeypatch.setattr(Repository, "fetch", counting)
+    car_run("111", 1)
+    assert "final_verdict" not in kinds
+    assert len(kinds) == 27
 
 
 def test_replay_flags_a_verdict_not_posted_by_the_prover():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     HOSTILE_BOARDS,
+    raw_line,
     reference_digest,
     reference_encode,
     scan_fetch,
@@ -108,6 +109,28 @@ def test_decode_refuses_a_hostile_line(case):
         decode_record(HOSTILE_BOARDS[case][-1])
 
 
+@pytest.mark.parametrize("text, value", [
+    ('"\\ud83d\\ude00"', "\U0001f600"),  # a valid surrogate pair
+    ('"\\\\ud800"', "\\ud800"),  # an escaped backslash, then "ud800"
+])
+def test_i_json_strings_still_load(tmp_path, text, value):
+    path = tmp_path / "board.jsonl"
+    path.write_bytes(raw_line(body='{"x":' + text + "}") + b"\n")
+    assert [r.body for r in Repository(path)] == [{"x": value}]
+
+
+def holds_a_surrogate(value) -> bool:
+    """Whether any string in `value`, key or value, holds a surrogate code
+    point, which UTF-8, and so I-JSON, cannot carry."""
+    if isinstance(value, str):
+        return any("\ud800" <= ch <= "\udfff" for ch in value)
+    if isinstance(value, dict):
+        return holds_a_surrogate(list(value.items()))
+    if isinstance(value, (list, tuple)):
+        return any(holds_a_surrogate(v) for v in value)
+    return False
+
+
 JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\u00e9\u20ac\U0001f600'),
                     max_size=8)
 JSON_VALUES = st.recursive(
@@ -133,8 +156,13 @@ def non_canonical_variants(line):
        number=st.integers(-10**30, 10**30), session=JSON_TEXT, author=JSON_TEXT)
 def test_encoding_matches_the_reference(body, number, session, author):
     """The line and digest are those of one whole json.dumps per record;
-    decode and a file load refuse the same non-canonical lines."""
+    decode and a file load refuse the same non-canonical lines.  A record
+    holding a surrogate, which I-JSON forbids, is refused outright."""
     body = {**body, "": number, "\u00e9": "\u00e9"}  # "" sorts first in any body
+    if holds_a_surrogate([session, author, body]):
+        with pytest.raises(MalformedRecord, match="lone surrogate"):
+            make_record(0, session, author, "session_init", body)
+        return
     record = make_record(0, session, author, "session_init", body)
     line = encode_record(record)
     assert record.digest == reference_digest(0, session, author, "session_init", body)
