@@ -49,9 +49,11 @@ def _with_color(raw: bytes, bit: int) -> bytes:
 
 
 def sample_label_pair(drbg: HashDrbg) -> tuple[bytes, bytes]:
-    color = drbg.randbit()
-    l0 = _with_color(drbg.random_bytes(LABEL_BYTES), color)
-    l1 = _with_color(drbg.random_bytes(LABEL_BYTES), 1 - color)
+    """One colour byte, then the two labels: 33 bytes of drbg's stream."""
+    raw = drbg.random_bytes(1 + 2 * LABEL_BYTES)
+    color = raw[0] & 1
+    l0 = _with_color(raw[1:1 + LABEL_BYTES], color)
+    l1 = _with_color(raw[1 + LABEL_BYTES:], 1 - color)
     return l0, l1
 
 
@@ -114,13 +116,15 @@ def garble_full(c: LayeredCircuit, drbg: HashDrbg, digest_bits: int = 256,
         sample_label_pair(drbg) for _ in range(c.n_wires - len(inputs)))
     tables = []
     for idx, g in enumerate(c.gates):
+        op = _OPS[g.op]
+        left, right, out = labels[g.left], labels[g.right], labels[g.out]
+        left_rows = [label_color(la) << 1 for la in left]
+        right_rows = [label_color(lb) for lb in right]
         rows: list[bytes | None] = [None] * 4
         for a in (0, 1):
             for b in (0, 1):
-                la, lb = labels[g.left][a], labels[g.right][b]
-                row = (label_color(la) << 1) | label_color(lb)
-                out_label = labels[g.out][_OPS[g.op](a, b)]
-                rows[row] = dual_enc(la, lb, idx, row, out_label)
+                row = left_rows[a] | right_rows[b]
+                rows[row] = dual_enc(left[a], right[b], idx, row, out[op(a, b)])
         tables.append(GarbledGate(tuple(rows)))
     garbled = GarbledCircuit(
         c, tuple(tables),

@@ -3,6 +3,10 @@
 A single hash carries the whole load: clause digests, bit commitments,
 deterministic randomness (counter-mode stream), the two-key cipher that
 fills garbled tables, and the masks that blind transferred messages.
+
+Every XOR of two byte strings (a garbled row, a blinded OT message) reads
+both as big-endian ints, XORs the ints and writes the result back at the
+same length, so no Python loop runs over the bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import hashlib
 LABEL_BYTES = 16          # wire labels are 128 bits, colour bit last
 PAD_BYTES = 8             # zero padding appended before table encryption
 CIPHER_BYTES = LABEL_BYTES + PAD_BYTES
+_ZERO_TAIL = bytes(PAD_BYTES)
 
 
 def sha256(data: bytes) -> bytes:
@@ -81,18 +86,15 @@ def _pad_source(key_a: bytes, key_b: bytes, gate_id: int, row: int) -> bytes:
 
 def dual_enc(key_a: bytes, key_b: bytes, gate_id: int, row: int, label: bytes) -> bytes:
     """Encrypt a label under two keys; an all-zero tail authenticates it."""
-    pad = _pad_source(key_a, key_b, gate_id, row)
-    plain = label + b"\x00" * PAD_BYTES
-    return bytes(p ^ q for p, q in zip(pad, plain))
+    return xor_bytes(_pad_source(key_a, key_b, gate_id, row), label + _ZERO_TAIL)
 
 
 def dual_dec(key_a: bytes, key_b: bytes, gate_id: int, row: int, cipher: bytes) -> bytes | None:
     """Inverse of dual_enc; returns None when the zero tail does not check out."""
     if len(cipher) != CIPHER_BYTES:
         return None
-    pad = _pad_source(key_a, key_b, gate_id, row)
-    plain = bytes(p ^ q for p, q in zip(pad, cipher))
-    if plain[LABEL_BYTES:] != b"\x00" * PAD_BYTES:
+    plain = xor_bytes(_pad_source(key_a, key_b, gate_id, row), cipher)
+    if plain[LABEL_BYTES:] != _ZERO_TAIL:
         return None
     return plain[:LABEL_BYTES]
 
@@ -108,6 +110,7 @@ def mask_stream(secret: bytes, n: int) -> bytes:
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """a XOR b, through big-endian ints, for byte strings of equal length."""
     if len(a) != len(b):
         raise ValueError("length mismatch")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")

@@ -646,15 +646,18 @@ def _check(report: ReplayReport, name: str, ok: bool, detail: str = "") -> None:
         report.ok = False
 
 
-def _verify(report: ReplayReport, name: str, check, *args) -> None:
-    """Check `name` by `check(*args)`: an error but MalformedRecord FAILs it."""
+def _verify(report: ReplayReport, name: str, check, *args):
+    """Check `name` by `check(*args)`, returning what it returns: an error
+    but MalformedRecord FAILs the check, and gives None."""
     try:
-        check(*args)
-        _check(report, name, True)
+        result = check(*args)
     except MalformedRecord:
         raise
     except ZkFabricError as exc:
         _check(report, name, False, f"{type(exc).__name__}: {exc}")
+        return None
+    _check(report, name, True)
+    return result
 
 
 def replay_board(repo: Repository) -> list[ReplayReport]:
@@ -731,10 +734,11 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
         _check(report, "circuits_match_commit", not differ, differ)
 
         commits = first_by(by_kind.get("mask_commit", []), "part")
+        masks = {}  # part -> the bit its first mask_reveal opens, as the prover reads
         for rec in by_kind.get("mask_reveal", []):
             part = read(rec, "part")
-            _verify(report, f"commit_opens_part_{part}", check_reveal,
-                    commits.get(part), rec, lam)
+            masks.setdefault(part, _verify(report, f"commit_opens_part_{part}",
+                                           check_reveal, commits.get(part), rec, lam))
 
         publishes = by_kind.get("aggregate_publish", [])
         ot_c = {f"mask-{part}": read(rec, "ot_c") for part, rec
@@ -746,12 +750,11 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
                     ot_c.get(ot_id), read(rec, "y0"), read(rec, "y1"))
 
         for pub in publishes[:1]:
-            reveals = by_kind.get("mask_reveal", [])
-            if reveals:
-                masks = reduce(xor, (read(rec, "r") for rec in reveals), 0)
-                x1m = read(pub, "x1m")
-                _check(report, "x1m_matches_reveals", x1m == masks,
-                       "" if x1m == masks else f"x1m {x1m}, revealed masks XOR to {masks}")
+            # a first reveal that opens nothing has FAILED its commit check
+            if masks and None not in masks.values():
+                x1m, xored = read(pub, "x1m"), reduce(xor, masks.values())
+                _check(report, "x1m_matches_reveals", x1m == xored,
+                       "" if x1m == xored else f"x1m {x1m}, revealed masks XOR to {xored}")
             tables, mask_inputs = read(pub, "tables"), read(pub, "mask_inputs")
             input_labels = read(pub, "input_labels")
             for rec in by_kind.get("partition_output", []):

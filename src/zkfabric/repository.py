@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DigestMismatch, MalformedRecord, StaleSequence
 from .hashing import sha256
@@ -41,8 +41,10 @@ RECORD_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class RepositoryRecord:
+class RepositoryRecord(NamedTuple):
+    """One board record.  A tuple, so its fields cannot be reassigned and
+    two records are equal when their fields are."""
+
     seq: int
     session: str
     author: str

@@ -9,6 +9,8 @@ Each clause between markers becomes one boolean variable (identical texts
 stay distinct variables), the markers become operators, and the whole
 statement compiles to a truth table and then to a minimal sum-of-products
 form via Quine-McCluskey with exact branch-and-bound cover resolution.
+The table is computed with one walk of the expression tree, each node
+giving its values in all rows at once as the bits of one int.
 
 Public surface:
     extract, hash_substatement, build_expression, expression_to_truth_table,
@@ -149,11 +151,6 @@ class TruthTable:
             raise VarIndexOutOfRange("output vector length mismatch")
 
 
-def _assignment(index: int, n_vars: int) -> tuple[int, ...]:
-    # variable 0 is the most significant bit of the row index
-    return tuple((index >> (n_vars - 1 - j)) & 1 for j in range(n_vars))
-
-
 @dataclass(frozen=True)
 class MinimizedExpr:
     """Sum of products; each implicant maps a variable to 0, 1 or None (free)."""
@@ -291,10 +288,42 @@ def _combine(op: OperatorKind, left: BooleanExpr, right: BooleanExpr) -> Boolean
 
 
 def expression_to_truth_table(expr: BooleanExpr, n_vars: int) -> TruthTable:
-    outputs = tuple(
-        eval_expr(expr, _assignment(i, n_vars)) for i in range(1 << n_vars)
-    )
-    return TruthTable(n_vars, outputs)
+    """The value of expr in each row i of the table, variable 0 being the
+    most significant bit of i, as eval_expr gives it row by row.
+
+    Each node is evaluated once for all 2**n_vars rows, as an int whose bit
+    i is the node's value in row i.  Variable j is the pattern of the rows
+    whose bit k = n_vars-1-j is set: from row 0 up, a run of 2**k zeros and
+    a run of 2**k ones, repeated.  One such pair of runs times
+    ones // (2**(2**(k+1)) - 1), which has a 1 at the start of every pair,
+    repeats it over the table.  A Const is all ones or 0, Not XORs with all
+    ones, and And, Or and Xor are the bitwise operators.
+    """
+    # the table is a 2**n_vars-bit int: refuse a size before building it
+    if not 1 <= n_vars <= MAX_VARS:
+        raise VarIndexOutOfRange(f"n_vars={n_vars}")
+    n_rows = 1 << n_vars
+    ones = (1 << n_rows) - 1
+
+    def rows(node: BooleanExpr) -> int:
+        if isinstance(node, Var):
+            if not 0 <= node.index < n_vars:
+                raise VarIndexOutOfRange(f"v{node.index} with {n_vars} variables")
+            run = 1 << (n_vars - 1 - node.index)
+            return ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+        if isinstance(node, Const):
+            return ones if node.value & 1 else 0
+        if isinstance(node, Not):
+            return rows(node.operand) ^ ones
+        a, b = rows(node.left), rows(node.right)
+        if isinstance(node, And):
+            return a & b
+        if isinstance(node, Or):
+            return a | b
+        return a ^ b
+
+    table = rows(expr)
+    return TruthTable(n_vars, tuple(table >> i & 1 for i in range(n_rows)))
 
 
 # Quine-McCluskey with exact cover resolution
@@ -320,7 +349,7 @@ def _prime_implicants(n: int, on: list[int]) -> list[tuple]:
     """All prime implicants of the on-set, sorted by implicant string.
 
     A cube is held as a pair of ints `(value, free)` over n bits, variable
-    0 being the most significant bit as in `_assignment`: a bit set in
+    0 being the most significant bit, as in a table's row index: a bit set in
     `free` is a free variable, and `value` holds the fixed variables' bits,
     0 wherever `free` has a 1.  Two cubes merge only when they have the
     same free bits and differ in one fixed bit (McCluskey's rule), so the

@@ -9,7 +9,7 @@ from zkfabric.circuit import CircuitBuilder, evaluate_plain, evaluate_wires
 from zkfabric.protocol import ProverEngine, SessionParams, Transcript, run_session
 from zkfabric.hashing import sha256
 from zkfabric.repository import Repository, RepositoryRecord, make_record
-from zkfabric.syntax import MinimizedExpr, TruthTable, _assignment, _implicant_str
+from zkfabric.syntax import MinimizedExpr, TruthTable, _implicant_str
 
 GOLDEN_BOARD = Path(__file__).parent / "golden" / "car_toy23.board"
 
@@ -64,9 +64,15 @@ def random_statement(rng, min_clauses=2, max_clauses=6):
     return " ".join(parts)
 
 
+def assignment(index, n):
+    """Row `index` of an n-variable truth table as bits, variable 0 being
+    the most significant bit of the index."""
+    return tuple(index >> (n - 1 - j) & 1 for j in range(n))
+
+
 def all_assignments(n):
     for idx in range(1 << n):
-        yield tuple(idx >> (n - 1 - j) & 1 for j in range(n))
+        yield assignment(idx, n)
 
 
 def scan_fetch(records, session=None, kind=None):
@@ -247,7 +253,7 @@ def reference_minimize(table: TruthTable) -> MinimizedExpr:
 
 
 def _cube_of(minterm: int, n: int) -> tuple[int | None, ...]:
-    return _assignment(minterm, n)
+    return assignment(minterm, n)
 
 
 def _merge(a: tuple, b: tuple) -> tuple | None:
@@ -285,7 +291,7 @@ def reference_prime_implicants(n: int, on: list[int]) -> list[tuple]:
 
 
 def _covers(cube: tuple, minterm: int, n: int) -> bool:
-    bits = _assignment(minterm, n)
+    bits = assignment(minterm, n)
     return all(v is None or v == b for v, b in zip(cube, bits))
 
 

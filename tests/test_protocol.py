@@ -1,9 +1,12 @@
+import hashlib
 import random
 import re
 import time
 
 import pytest
 
+import zkfabric.hashing
+import zkfabric.protocol
 import zkfabric.repository
 from helpers import (
     CAR_STATEMENT,
@@ -319,6 +322,36 @@ def test_replay_keeps_the_first_commit_of_a_part():
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert [name for name, _ in failed] == ["parts_match_init"]
     assert "mask_commit parts [1, 1, 2]" in failed[0][1]
+
+
+class DoubleRevealVerifier(VerifierEngine):
+    def _post(self, kind, body):
+        rec = super()._post(kind, body)
+        if kind == "mask_reveal":
+            super()._post(kind, body)
+        return rec
+
+
+def test_replay_xors_the_first_reveal_of_each_part():
+    """x1m is the XOR of the masks that each part's first mask_reveal opens,
+    the ones the prover reads, so a repeated reveal fails only
+    parts_match_init."""
+    params = SessionParams.from_master(7, 1, group="toy23")
+    transcript = run_session(params, CAR_STATEMENT, "111", Repository(),
+                             engine_overrides={"verifier-1": DoubleRevealVerifier})
+    assert transcript.verdict == "accept"
+    report = replay_board(board_of(transcript.records))[0]
+    assert ("x1m_matches_reveals", True, "") in report.checks
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert [name for name, _ in failed] == ["parts_match_init"]
+    assert "mask_reveal parts [1, 1, 2]" in failed[0][1]
+
+
+def test_replay_xors_no_mask_that_a_first_reveal_did_not_open():
+    board, _ = edited_golden("mask_reveal", "salt", "00" * 16)
+    report = replay_board(board)[0]
+    assert [name for name, ok, _ in report.checks if not ok] == ["commit_opens_part_1"]
+    assert "x1m_matches_reveals" not in [name for name, _, _ in report.checks]
 
 
 @pytest.mark.parametrize("role, kind, field, value", [
@@ -688,6 +721,36 @@ def test_each_record_is_digested_once(monkeypatch):
     calls.clear()
     assert replay_board(golden)[0].ok
     assert calls == []
+
+
+def test_work_counts_of_a_session_and_of_a_replay(monkeypatch):
+    """SHA-256 calls and body field reads of a toy23 car session and of a
+    golden replay (after the load, which verifies the digests): pinned, so
+    that work added anywhere on the path shows."""
+    counts = {"sha256": 0, "read": 0}
+
+    class CountingHashlib:
+        def sha256(self, *args):
+            counts["sha256"] += 1
+            return hashlib.sha256(*args)
+
+        def __getattr__(self, name):
+            return getattr(hashlib, name)
+
+    read_field = zkfabric.protocol.read
+
+    def counting_read(*args):
+        counts["read"] += 1
+        return read_field(*args)
+
+    monkeypatch.setattr(zkfabric.hashing, "hashlib", CountingHashlib())
+    monkeypatch.setattr(zkfabric.protocol, "read", counting_read)
+    car_run("111", 1)
+    assert counts == {"sha256": 129, "read": 79}
+    golden = Repository(GOLDEN_BOARD)
+    counts.update(sha256=0, read=0)
+    assert replay_board(golden)[0].ok
+    assert counts == {"sha256": 5, "read": 48}
 
 
 def test_run_session_does_not_poll_for_the_verdict(monkeypatch):

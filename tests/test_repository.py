@@ -204,6 +204,22 @@ def test_append_validates_digest():
         repo.append(bad)
 
 
+def test_a_record_cannot_be_changed():
+    rec = make_record(0, "s1", "prover", "session_init", {"i": 0})
+    for field, value in (("seq", 1), ("body", {}), ("digest", "00" * 32)):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, value)
+    assert (rec.seq, rec.body) == (0, {"i": 0})
+
+
+def test_records_are_equal_field_by_field():
+    rec = make_record(0, "s1", "prover", "session_init", {"i": 0})
+    same = RepositoryRecord(0, "s1", "prover", "session_init", {"i": 0}, rec.digest)
+    assert rec == same
+    other = RepositoryRecord(0, "s1", "prover", "session_init", {"i": 0}, "00" * 32)
+    assert rec != other
+
+
 def test_append_validates_sequence():
     repo = Repository()
     fill(repo, 2)

@@ -168,6 +168,33 @@ def test_truth_table_car():
     assert table.outputs == CAR_TABLE
 
 
+def expressions(n_vars):
+    """BooleanExpr trees over variables 0 to n_vars - 1."""
+    leaves = st.builds(Var, st.integers(0, n_vars - 1)) | st.builds(Const, st.integers(0, 3))
+    return st.recursive(leaves, lambda sub: (
+        st.builds(Not, sub) | st.builds(And, sub, sub)
+        | st.builds(Or, sub, sub) | st.builds(Xor, sub, sub)), max_leaves=12)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), expressions(n))))
+def test_truth_table_matches_eval_expr_row_by_row(case):
+    n, expr = case
+    table = expression_to_truth_table(expr, n)
+    assert table.outputs == tuple(eval_expr(expr, bits) for bits in all_assignments(n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), expressions(n),
+    st.integers(-3, -1) | st.integers(n, n + 3), st.booleans())))
+def test_truth_table_refuses_a_var_out_of_range(case):
+    n, expr, index, left = case
+    bad = Not(Var(index))
+    with pytest.raises(VarIndexOutOfRange):
+        expression_to_truth_table(And(bad, expr) if left else Or(expr, bad), n)
+
+
 def test_truth_table_validation():
     with pytest.raises(VarIndexOutOfRange):
         TruthTable(0, ())
@@ -175,6 +202,9 @@ def test_truth_table_validation():
         TruthTable(7, (0,) * 128)
     with pytest.raises(VarIndexOutOfRange):
         TruthTable(2, (0, 1, 1))
+    for n_vars in (0, 7):
+        with pytest.raises(VarIndexOutOfRange):
+            expression_to_truth_table(Const(1), n_vars)
 
 
 def test_minimize_xor_pair():
