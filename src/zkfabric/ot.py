@@ -1,17 +1,31 @@
-"""1-of-2 oblivious transfer over a prime-order subgroup.
+"""1-of-2 oblivious transfer over a prime-order subgroup (Naor and Pinkas,
+SODA '01, section 3.1).
 
 Message flow (sender S holds m0, m1; receiver R holds choice bit b):
 
     S: secret s, publishes c = g^s
     R: secret k, sends y_b = g^k and y_(1-b) = c * (g^k)^-1
-    S: checks y0 * y1 == c, then for each i sends
-       (A_i, B_i) = (g^r_i, m_i XOR stream(y_i^r_i))  with fresh r_i
-    R: recovers m_b = B_b XOR stream(A_b^k)
+    S: checks that y0 and y1 are subgroup elements with y0 * y1 == c, draws
+       one r and sends A = g^r and, for i = 0, 1,
+       e_i = m_i XOR stream(K_i || i), where K0 = y0^r and
+       K1 = c^r * K0^-1 = y1^r, with c^r = g^(s*r)
+    R: recovers m_b = e_b XOR stream(A^k || b)
 
-The product check forces R to know the discrete log of at most one of
-y0, y1, so only one message is recoverable; S sees (y0, y1) whose joint
-distribution is the same for either b.  Messages of any equal or unequal
-length work, masked block by block with a hash keystream.
+Why it is secure:
+  - The product check means R cannot know the discrete logs of both y0
+    and y1: their product is c, so the two logs would add up to log_g c.
+  - R holds k = log_g y_b, so A^k = y_b^r = K_b.  The other key is
+    K_(1-b) = c^r / A^k, and c^r = g^(s*r) is the Diffie-Hellman value
+    CDH(c, A) of two elements R did not make.  With the keys fed to a
+    random oracle (SHA-256 in the mask stream) m_(1-b) stays hidden under
+    the CDH assumption.  The half index is hashed in, so the two halves
+    are masked by different streams even where K0 == K1.
+  - Receiver privacy is what it was: (y0, y1) is a uniform pair with
+    product c whichever b is, so S learns nothing of b.
+  - The one r serves both halves, so a transfer posts one sender element.
+
+Messages of any equal or unequal length work, masked block by block with
+a hash keystream.
 
 The "toy23" group (p=23, q=11, g=4) keeps every value hand-checkable in
 tests; "modp2048" is the 2048-bit safe-prime group of RFC 3526 (group 14)
@@ -23,7 +37,7 @@ residues, so membership is decided by the Jacobi symbol (x/p) == 1, a
 gcd-like loop, rather than by the full exponentiation x^q == 1 (Euler's
 criterion gives the same answer at many times the cost).
 
-Secrets s, k and r_i are drawn below min(q, 2**SECRET_BITS) with
+Secrets s, k and r are drawn below min(q, 2**SECRET_BITS) with
 SECRET_BITS = 256.  That is within the 220-320-bit exponent range that
 RFC 3526 section 8 gives for this group and the short-exponent guidance of
 RFC 7919 section 5.2.  It rests on the short-exponent discrete-log
@@ -33,29 +47,35 @@ the best known attack on a 256-bit exponent is Pollard's lambda at about
 k is taken to look like a uniform subgroup element.  On toy23 q is far
 below the cap, so secrets there are uniform below q.
 
-Half of the exponentiations in a transfer raise the fixed generator g
-(g^s, g^k and both g^r_i), so g^e goes through a fixed-base window table
-when q >= 2**SECRET_BITS.  Row i of the table holds g^(j * 2^(4i)) for
-j < 16 (WINDOW_BITS = 4), over the 64 rows that cover a 256-bit
-exponent, so g^e costs at most 64 modular multiplications, one per
-nonzero 4-bit digit of e, instead of a pow.  On modp2048 that is about
-0.8-1.2 ms against 2.8-3.8 ms for pow (2-vCPU Xeon VM, CPython 3.11).
-The table is built on first use, once per process and group, in 1 024
-multiplications (12-18 ms), and holds 1 024 elements (about 0.3 MB).
-A 5- or 6-bit window saves 0.2-0.3 ms more per g^e, a few ms of a
-session and within its run-to-run spread, but takes 30-51 ms to build
-and 1.6-2.7 times the memory.  A group with q < 2**SECRET_BITS (toy23),
-a negative exponent or one of 2**SECRET_BITS or more uses the builtin
-pow, so toy23 never builds the table.  The table gives exactly
-pow(g, e, p), so boards do not change.  Its running time depends on the
-exponent (on the number of its nonzero digits), as CPython's pow, which
-is not constant-time either, does.
+Most exponentiations in a transfer raise the fixed generator g (g^s, g^k,
+g^r and g^(s*r)), so g^e goes through a fixed-base window table when
+q >= 2**SECRET_BITS.  Row i of the table holds g^(j * 2^(4i)) for j < 16
+(WINDOW_BITS = 4), over the 128 rows that cover the 512-bit product s*r,
+so g^e costs one modular multiplication per nonzero 4-bit digit of e
+instead of a pow.  On modp2048 a 256-bit g^e is about 0.8-1.2 ms against
+2.8-4.7 ms for pow (2-vCPU Xeon VM, CPython 3.11), and a transfer makes
+one variable-base pow (y0^r): y1^r costs a table lookup and an inverse.
+The table is built on first use, once per process and group, in 2 048
+multiplications (28-34 ms), and holds 2 048 elements (about 0.6 MB).
+That is a trade-off.  The upper 64 rows, which only g^(s*r) reads, take
+about 15 ms of the build and save about 2.2 ms per transfer (the sender
+takes about 7.4 ms).  A one-shot modp2048 CLI simulate of the car
+statement, with its 3 transfers, pays about 15 ms for them and saves
+about 7 ms; a process that runs many sessions pays once.  A 5- or 6-bit
+window saves a little more per g^e but takes 1.6-2.7 times the build
+time and memory.  A group with q < 2**SECRET_BITS (toy23), a negative
+exponent or one of 2**TABLE_BITS or more uses the builtin pow, so toy23
+never builds the table.  The table gives exactly pow(g, e, p), so boards
+do not depend on it.  Its running time depends on the exponent (on the
+number of its nonzero digits), as CPython's pow, which is not
+constant-time either, does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ConsistencyCheckFailed, InvalidGroupElement
 from .hashing import HashDrbg, mask_stream, xor_bytes
@@ -73,6 +93,7 @@ _MODP_2048_P = int(
 )
 
 SECRET_BITS = 256
+TABLE_BITS = 2 * SECRET_BITS  # the product s*r of two secrets
 WINDOW_BITS = 4
 
 
@@ -101,7 +122,7 @@ class GroupParams:
         """Row i holds g^(j * 2^(WINDOW_BITS * i)) mod p for j < 2^WINDOW_BITS."""
         rows = []
         base = self.g
-        for _ in range(SECRET_BITS // WINDOW_BITS):
+        for _ in range(TABLE_BITS // WINDOW_BITS):
             row = [1]
             for _ in range((1 << WINDOW_BITS) - 1):
                 row.append(row[-1] * base % self.p)
@@ -140,12 +161,14 @@ def _jacobi(a: int, n: int) -> int:
 
 def _g_pow(params: GroupParams, e: int) -> int:
     """pow(g, e, p), from the fixed-base table when it applies."""
-    if params.q < 1 << SECRET_BITS or not 0 <= e < 1 << SECRET_BITS:
+    if params.q < 1 << SECRET_BITS or not 0 <= e < 1 << TABLE_BITS:
         return pow(params.g, e, params.p)
     p = params.p
     digit = (1 << WINDOW_BITS) - 1
     acc = 1
     for row in params._g_table:
+        if not e:
+            break
         if e & digit:
             acc = acc * row[e & digit] % p
         e >>= WINDOW_BITS
@@ -160,31 +183,34 @@ def element_to_bytes(params: GroupParams, x: int) -> bytes:
     return x.to_bytes(params.element_bytes, "big")
 
 
-@dataclass(frozen=True)
-class OTSenderState:
+class OTSenderState(NamedTuple):
     params: GroupParams
     secret: int
     c: int
 
 
-@dataclass(frozen=True)
-class OTChoose:
+class OTChoose(NamedTuple):
     y0: int
     y1: int
 
 
-@dataclass(frozen=True)
-class OTReceiverState:
+class OTReceiverState(NamedTuple):
     params: GroupParams
     k: int
     choice: int
     c: int
 
 
-@dataclass(frozen=True)
-class OTTransfer:
-    c0: tuple[int, bytes]
-    c1: tuple[int, bytes]
+class OTTransfer(NamedTuple):
+    a: int  # g^r
+    c0: bytes  # m0 masked with y0^r
+    c1: bytes  # m1 masked with y1^r
+
+
+def _mask(params: GroupParams, key: int, half: int, m: bytes) -> bytes:
+    """m XOR the stream of key || half: the same call masks and unmasks."""
+    pad = mask_stream(element_to_bytes(params, key) + bytes([half]), len(m))
+    return xor_bytes(m, pad)
 
 
 def _sender_from_secret(params: GroupParams, secret: int) -> tuple[int, OTSenderState]:
@@ -231,16 +257,14 @@ def ot_sender_transfer(
     rng: HashDrbg,
 ) -> OTTransfer:
     check_choose(state.params, state.c, y0, y1)
-    halves = []
-    for y, m in ((y0, m0), (y1, m1)):
-        r = rng.randbelow(state.params.secret_bound)
-        a = _g_pow(state.params, r)
-        shared = element_to_bytes(state.params, pow(y, r, state.params.p))
-        halves.append((a, xor_bytes(m, mask_stream(shared, len(m)))))
-    return OTTransfer(halves[0], halves[1])
+    params, p = state.params, state.params.p
+    r = rng.randbelow(params.secret_bound)
+    a = _g_pow(params, r)
+    k0 = pow(y0, r, p)
+    k1 = _g_pow(params, state.secret * r) * pow(k0, -1, p) % p  # c^r / y0^r = y1^r
+    return OTTransfer(a, _mask(params, k0, 0, m0), _mask(params, k1, 1, m1))
 
 
 def ot_receiver_recover(state: OTReceiverState, transfer: OTTransfer) -> bytes:
-    a, masked = (transfer.c0, transfer.c1)[state.choice]
-    shared = element_to_bytes(state.params, pow(a, state.k, state.params.p))
-    return xor_bytes(masked, mask_stream(shared, len(masked)))
+    key = pow(transfer.a, state.k, state.params.p)
+    return _mask(state.params, key, state.choice, (transfer.c0, transfer.c1)[state.choice])

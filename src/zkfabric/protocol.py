@@ -43,6 +43,7 @@ checks the protocol alone.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import xor
@@ -154,10 +155,8 @@ FIELDS = {
     "operators": _each(_text), "netlist": _each(_text),
     "label": _label, "salt": bytes.fromhex,
     "clause_digests": _each(bytes.fromhex), "const_labels": _each(_label),
-    "y0": _element, "y1": _element, "ot_c": _element,
-    # a transfer half: (sender element, masked label)
-    "c0": lambda v: (_element(v[0]), bytes.fromhex(v[1])),
-    "c1": lambda v: (_element(v[0]), bytes.fromhex(v[1])),
+    "y0": _element, "y1": _element, "ot_c": _element, "ot_a": _element,
+    "c0": bytes.fromhex, "c1": bytes.fromhex,
     "labels": _label_map, "input_labels": _label_map,
     "circuit": LayeredCircuit.from_dict,
     "tables": _each(lambda rows: GarbledGate(_sized(4, tuple(map(bytes.fromhex, rows))))),
@@ -293,7 +292,7 @@ class _Engine:
         if rec is None:
             return None
         return ot_receiver_recover(
-            self.ot_state, OTTransfer(read(rec, "c0"), read(rec, "c1")))
+            self.ot_state, OTTransfer(read(rec, "ot_a"), read(rec, "c0"), read(rec, "c1")))
 
     def step(self) -> str | None:
         """Run the current phase once. Return its name if it did work,
@@ -412,11 +411,8 @@ class ProverEngine(_Engine):
             state, (m0, m1) = self.offers.pop(ot_id)
             tr = ot_sender_transfer(state, read(chooses[ot_id], "y0"),
                                     read(chooses[ot_id], "y1"), m0, m1, self.drbg)
-            self._post("ot_transfer", {
-                "session_id": ot_id,
-                "c0": [self._elem(tr.c0[0]), tr.c0[1].hex()],
-                "c1": [self._elem(tr.c1[0]), tr.c1[1].hex()],
-            })
+            self._post("ot_transfer", {"session_id": ot_id, "ot_a": self._elem(tr.a),
+                                       "c0": tr.c0.hex(), "c1": tr.c1.hex()})
         if not self.offers:
             self.phase = "await_agg_output" if self.agg_result else "await_outputs"
         return "ot_transfer" if ready else None
@@ -693,6 +689,22 @@ def _circuits_differ(by_kind: dict[str, list[RepositoryRecord]]) -> str:
     return ""
 
 
+def _ot_ids_differ(n_parts: int, by_kind: dict[str, list[RepositoryRecord]]) -> str:
+    """Each OT id that the ot_choose or the ot_transfer records do not hold
+    exactly as often as a settled session does, as "<id>: <count> <kind>":
+    once for mask-1 ... mask-<n_parts> and xm, never for any other id.  The
+    caller caps n_parts, which is as large as the poster likes, by the
+    session's record count."""
+    found = []
+    wanted = {"xm"} | {f"mask-{i}" for i in range(1, n_parts + 1)}
+    for kind in ("ot_choose", "ot_transfer"):
+        counts = Counter(read(rec, "session_id") for rec in by_kind.get(kind, []))
+        for ot_id in sorted(counts.keys() | wanted):
+            if counts[ot_id] != int(ot_id in wanted):
+                found.append(f"{ot_id}: {counts[ot_id]} {kind}")
+    return "; ".join(found)
+
+
 def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
     report = ReplayReport(session=sid, verdict=None, ok=True)
     by_kind: dict[str, list[RepositoryRecord]] = {}
@@ -729,6 +741,8 @@ def _replay_session(sid: str, recs: list[RepositoryRecord]) -> ReplayReport:
                     found.append(f"{kind} parts {parts}")
             _check(report, "parts_match_init", not found,
                    f"n_parts {n_parts}: " + "; ".join(found) if found else "")
+            differ = _ot_ids_differ(min(n_parts, len(recs)), by_kind)
+            _check(report, "ot_ids_match", not differ, differ)
 
         differ = _circuits_differ(by_kind)
         _check(report, "circuits_match_commit", not differ, differ)

@@ -165,9 +165,9 @@ def test_modp2048_board_bytes(capsys, tmp_path):
                          "modp2048", "--seed", "7", "--board", str(board))
     assert code == 0
     raw = board.read_bytes()
-    assert len(raw) == 10382
+    assert len(raw) == 9358
     assert hashlib.sha256(raw).hexdigest() == (
-        "ea858c30895b01f14a5211091340522c8a8de21265ed2f5194cc979056516296")
+        "f4e99cede838c93a5a0e2d803ffe1913ffa92abad88825c0a7135803995badf9")
 
 
 def test_board_via_environment(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
+import builtins
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zkfabric.ot
 from zkfabric.errors import ConsistencyCheckFailed, InvalidGroupElement
 from zkfabric.hashing import HashDrbg
 from zkfabric.ot import (
@@ -8,6 +11,7 @@ from zkfabric.ot import (
     MODP2048,
     TOY_GROUP,
     SECRET_BITS,
+    TABLE_BITS,
     GroupParams,
     OTTransfer,
     _g_pow,
@@ -142,9 +146,7 @@ def test_tampered_transfer_yields_garbage_not_crash():
     c, sender = ot_sender_init(TOY_GROUP, rng)
     choose, receiver = ot_receiver_choose(TOY_GROUP, c, 0, rng)
     transfer = ot_sender_transfer(sender, choose.y0, choose.y1, m0, m1, rng)
-    bad = OTTransfer((transfer.c0[0],
-                      bytes([transfer.c0[1][0] ^ 0xFF]) + transfer.c0[1][1:]),
-                     transfer.c1)
+    bad = transfer._replace(c0=bytes([transfer.c0[0] ^ 0xFF]) + transfer.c0[1:])
     got = ot_receiver_recover(receiver, bad)
     assert got != m0 and got != m1
 
@@ -163,7 +165,7 @@ def test_unchosen_message_is_not_recoverable_with_wrong_state():
     choose, receiver = ot_receiver_choose(TOY_GROUP, c, 0, rng)
     assert choose.y0 != choose.y1
     transfer = ot_sender_transfer(sender, choose.y0, choose.y1, m0, m1, rng)
-    swapped = OTTransfer(transfer.c1, transfer.c0)
+    swapped = OTTransfer(transfer.a, transfer.c1, transfer.c0)
     assert ot_receiver_recover(receiver, swapped) != m1
 
 
@@ -269,24 +271,82 @@ def test_receiver_keys_leak_nothing_about_choice():
 
 @pytest.mark.parametrize("e", [
     0, 1, 15, 16, 17, 1 << 128, 1 << 252, 0xF << 252, (1 << 128) + 1,
-    (1 << SECRET_BITS) - 1,
+    (1 << SECRET_BITS) - 1, 1 << SECRET_BITS, (1 << 400) + 1,
+    (1 << TABLE_BITS) - 1,
     # outside the table's range: these take the builtin pow
-    1 << SECRET_BITS, pytest.param(MODP2048.q, id="q"), -1, -(1 << 200),
+    1 << TABLE_BITS, pytest.param(MODP2048.q, id="q"), -1, -(1 << 200),
 ])
 def test_g_pow_boundaries(e):
     assert _g_pow(MODP2048, e) == pow(MODP2048.g, e, MODP2048.p)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, (1 << SECRET_BITS) - 1))
+@given(st.integers(0, (1 << TABLE_BITS) - 1))
 def test_g_pow_matches_pow(e):
     assert _g_pow(MODP2048, e) == pow(MODP2048.g, e, MODP2048.p)
 
 
 def test_g_table_built_once_and_never_on_toy23():
+    assert TABLE_BITS == 2 * SECRET_BITS
     assert MODP2048._g_table is MODP2048._g_table
-    assert [len(row) for row in MODP2048._g_table] == [16] * 64
+    assert [len(row) for row in MODP2048._g_table] == [16] * 128
     toy = GroupParams("toy23", p=23, q=11, g=4)
     assert [_g_pow(toy, e) for e in range(-3, 30)] == [
         pow(4, e, 23) for e in range(-3, 30)]
     assert "_g_table" not in vars(toy)
+
+
+@pytest.mark.parametrize("params", [TOY_GROUP, MODP2048], ids=lambda g: g.name)
+@pytest.mark.parametrize("choice", [0, 1])
+def test_receiver_reads_its_half_and_only_its_half(params, choice):
+    """A^k || b opens m_b.  The receiver's key on the other half, and a
+    changed A on its own half, give bytes that are neither message.
+
+    The seeds avoid toy23's 1/q corners, where k = 0, r = 0 (A = 1) or
+    y0 = y1 makes both keys equal; modp2048 never meets them."""
+    m = (b"first message 16", b"other message 16")
+    for seed in (0, 2, 5, 8):
+        rng = HashDrbg(seed, context="one-r")
+        c, sender = ot_sender_init(params, rng)
+        choose, receiver = ot_receiver_choose(params, c, choice, rng)
+        transfer = ot_sender_transfer(sender, choose.y0, choose.y1, *m, rng)
+        assert choose.y0 != choose.y1 and receiver.k % params.q and transfer.a != 1
+        assert ot_receiver_recover(receiver, transfer) == m[choice]
+        other = ot_receiver_recover(receiver._replace(choice=1 - choice), transfer)
+        assert other not in m
+        for a in (transfer.a * params.g % params.p, 0, 1, params.p + 3, -1):
+            assert ot_receiver_recover(receiver, transfer._replace(a=a)) not in m
+
+
+def test_halves_are_masked_apart_even_where_the_keys_meet():
+    """With s = 2k on toy23, y0 = y1 and so K0 = K1; the half index hashed
+    into each key still masks equal messages differently."""
+    c, sender = _sender_from_secret(TOY_GROUP, 2)
+    for choice in (0, 1):
+        choose, receiver = _receiver_from_secret(TOY_GROUP, c, choice, 1)
+        assert choose.y0 == choose.y1
+        m = b"equal halves 16b"
+        transfer = ot_sender_transfer(sender, choose.y0, choose.y1, m, m,
+                                      HashDrbg(choice, context="meet"))
+        assert transfer.c0 != transfer.c1
+        assert ot_receiver_recover(receiver, transfer) == m
+
+
+def test_a_modp2048_transfer_makes_one_variable_base_pow(monkeypatch):
+    """y0^r is the only pow with a positive exponent: g^r and c^r = g^(s*r)
+    come from the table, and y1^r = c^r / y0^r costs one inverse."""
+    rng = HashDrbg(5, context="one-r")
+    c, sender = ot_sender_init(MODP2048, rng)
+    choose, receiver = ot_receiver_choose(MODP2048, c, 1, rng)
+    exponents = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp > 0:
+            exponents.append(exp)
+        return builtins.pow(base, exp, mod)
+
+    monkeypatch.setattr(zkfabric.ot, "pow", counting_pow, raising=False)
+    transfer = ot_sender_transfer(sender, choose.y0, choose.y1, b"0" * 16, b"1" * 16, rng)
+    assert len(exponents) == 1
+    monkeypatch.undo()
+    assert ot_receiver_recover(receiver, transfer) == b"1" * 16

@@ -506,7 +506,7 @@ def test_replay_validates_accept_board():
                    "ot_consistency_xm", "partition_label_valid_1",
                    "partition_label_valid_2", "aggregate_decode",
                    "verdict_matches_aggregator", "parts_match_init",
-                   "circuits_match_commit"):
+                   "circuits_match_commit", "ot_ids_match"):
         assert wanted in names
 
 
@@ -608,7 +608,7 @@ def test_replay_never_raises_on_a_wrong_typed_field():
                                         target.kind, {**target.body, name: value})
                 assert len(replay_board(board_of(edited))) == 1
                 edits += 1
-    assert edits == 1155
+    assert edits == 1200
 
 
 def test_replay_flags_n_parts_that_disagrees_with_the_parts():
@@ -618,7 +618,10 @@ def test_replay_flags_n_parts_that_disagrees_with_the_parts():
     failed = [(name, detail) for name, ok, detail in report.checks if not ok]
     assert failed == [("parts_match_init",
                        "n_parts 5: garbled_partition parts [1, 2]; "
-                       "mask_commit parts [1, 2]; mask_reveal parts [1, 2]")]
+                       "mask_commit parts [1, 2]; mask_reveal parts [1, 2]"),
+                      ("ot_ids_match",
+                       "mask-3: 0 ot_choose; mask-4: 0 ot_choose; mask-5: 0 ot_choose; "
+                       "mask-3: 0 ot_transfer; mask-4: 0 ot_transfer; mask-5: 0 ot_transfer")]
 
 
 def test_replay_bounds_parts_by_the_board_not_by_n_parts():
@@ -627,7 +630,7 @@ def test_replay_bounds_parts_by_the_board_not_by_n_parts():
     report = replay_board(board)[0]
     assert time.perf_counter() - t0 < 1.0
     failed = [name for name, ok, _ in report.checks if not ok]
-    assert failed == ["parts_match_init"]
+    assert failed == ["parts_match_init", "ot_ids_match"]
 
 
 def test_replay_flags_a_partition_label_outside_its_pair():
@@ -664,6 +667,46 @@ def test_replay_details_a_failed_shared_check(kind, field, value, check, error):
     failed = {name: detail for name, ok, detail in replay_board(board)[0].checks
               if not ok}
     assert failed[check].startswith(f"{error}: ")
+
+
+def _renumbered(records):
+    """A board of `records` in turn, each re-made at its new seq."""
+    return board_of(make_record(seq, r.session, r.author, r.kind, r.body)
+                    for seq, r in enumerate(records))
+
+
+def _transfer_index(records, ot_id):
+    return next(i for i, r in enumerate(records)
+                if r.kind == "ot_transfer" and r.body["session_id"] == ot_id)
+
+
+def test_replay_flags_a_missing_transfer():
+    records = list(Repository(GOLDEN_BOARD))
+    del records[_transfer_index(records, "mask-2")]
+    report = replay_board(_renumbered(records))[0]
+    assert report.verdict == "accept"
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert failed == [("ot_ids_match", "mask-2: 0 ot_transfer")]
+
+
+def test_replay_flags_a_duplicated_transfer():
+    records = list(Repository(GOLDEN_BOARD))
+    i = _transfer_index(records, "xm")
+    records.insert(i + 1, records[i])
+    report = replay_board(_renumbered(records))[0]
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert failed == [("ot_ids_match", "xm: 2 ot_transfer")]
+
+
+@pytest.mark.parametrize("ot_id, detail", [
+    ("mask-9", "mask-1: 0 ot_transfer; mask-9: 1 ot_transfer"),
+    ("mask-2", "mask-1: 0 ot_transfer; mask-2: 2 ot_transfer"),
+])
+def test_replay_flags_a_transfer_for_another_ot_id(ot_id, detail):
+    board, target = edited_golden("ot_transfer", "session_id", ot_id)
+    assert target.body["session_id"] == "mask-1"
+    failed = [(name, d) for name, ok, d in replay_board(board)[0].checks if not ok]
+    assert failed == [("ot_ids_match", detail)]
 
 
 def test_replay_flags_x1m_that_disagrees_with_the_reveals():
@@ -746,11 +789,11 @@ def test_work_counts_of_a_session_and_of_a_replay(monkeypatch):
     monkeypatch.setattr(zkfabric.hashing, "hashlib", CountingHashlib())
     monkeypatch.setattr(zkfabric.protocol, "read", counting_read)
     car_run("111", 1)
-    assert counts == {"sha256": 129, "read": 79}
+    assert counts == {"sha256": 128, "read": 82}
     golden = Repository(GOLDEN_BOARD)
     counts.update(sha256=0, read=0)
     assert replay_board(golden)[0].ok
-    assert counts == {"sha256": 5, "read": 48}
+    assert counts == {"sha256": 5, "read": 54}
 
 
 def test_run_session_does_not_poll_for_the_verdict(monkeypatch):
